@@ -1,6 +1,10 @@
 package bpred
 
-import "civect/internal/ckpt"
+import (
+	"fmt"
+
+	"civect/internal/ckpt"
+)
 
 // Checkpoint serialization: warm predictor state. Every counter, the
 // global history register and the MBS LRU clock round-trip exactly — a
@@ -72,4 +76,25 @@ func (m *MBS) LoadState(d *ckpt.Decoder) {
 		w.lru = d.U64()
 	}
 	m.clock = d.U64()
+}
+
+// CopyFrom overwrites g's state with src's — the warm-state transplant,
+// without a round trip through bytes. The entry counts must match.
+func (g *Gshare) CopyFrom(src *Gshare) error {
+	if len(src.table) != len(g.table) {
+		return fmt.Errorf("gshare size mismatch: source has %d entries, predictor has %d", len(src.table), len(g.table))
+	}
+	copy(g.table, src.table)
+	g.history = src.history
+	return nil
+}
+
+// CopyFrom overwrites m's state with src's; the geometries must match.
+func (m *MBS) CopyFrom(src *MBS) error {
+	if len(src.ways) != len(m.ways) {
+		return fmt.Errorf("MBS geometry mismatch: source has %d ways, table has %d", len(src.ways), len(m.ways))
+	}
+	copy(m.ways, src.ways)
+	m.clock = src.clock
+	return nil
 }

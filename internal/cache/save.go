@@ -1,6 +1,10 @@
 package cache
 
-import "civect/internal/ckpt"
+import (
+	"fmt"
+
+	"civect/internal/ckpt"
+)
 
 // Checkpoint serialization. Caches are timing state — tags, LRU stamps,
 // hit/miss counters — and all of it must round-trip exactly: a restored
@@ -46,6 +50,19 @@ func (c *Cache) LoadState(d *ckpt.Decoder) {
 	c.Stats.Accesses = d.U64()
 	c.Stats.Hits = d.U64()
 	c.Stats.Misses = d.U64()
+}
+
+// CopyFrom overwrites c's lines, clock and statistics with src's — the
+// warm-state transplant, without a round trip through bytes. The
+// geometries must match.
+func (c *Cache) CopyFrom(src *Cache) error {
+	if len(src.lines) != len(c.lines) {
+		return fmt.Errorf("cache geometry mismatch: source has %d lines, cache has %d", len(src.lines), len(c.lines))
+	}
+	copy(c.lines, src.lines)
+	c.clock = src.clock
+	c.Stats = src.Stats
+	return nil
 }
 
 // SaveState encodes the hierarchy: its cycle cursor, in-flight misses,

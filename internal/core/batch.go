@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"civect/internal/isa"
 	"civect/internal/mem"
 )
 
@@ -14,13 +15,14 @@ import (
 // their construction work (program validation, per-PC predecode) and
 // much of their per-cycle working set (the static program, the shared
 // instruction metadata) is identical. BatchProc holds K independent
-// pipeline states — one Proc per configuration lane — over one
-// SharedProgram, and steps the lanes in frontier-synchronized lockstep:
-// each round advances every live lane to a common cycle frontier, so
-// the shared read-only state stays hot across lanes while the per-lane
-// mutable state (rename/ROB/SRSMT/cache arrays, themselves SoA-packed
-// inside each Proc — see ci.TurnHeader) is touched in long dense
-// chunks rather than cycle-by-cycle interleave.
+// pipeline states — one Proc per configuration lane — over one program
+// (decoded once, see isa.Program.Decode), and steps the lanes in
+// frontier-synchronized lockstep: each round advances every live lane
+// to a common cycle frontier, so the shared read-only state stays hot
+// across lanes while the per-lane mutable state (rename/ROB/SRSMT/cache
+// arrays, themselves SoA-packed inside each Proc — see ci.TurnHeader)
+// is touched in long dense chunks rather than cycle-by-cycle
+// interleave.
 //
 // Lanes retire independently: a lane that halts or exhausts its
 // committed-instruction budget leaves the rotation and reports its
@@ -126,8 +128,7 @@ func (ls *laneState) stepChunk(frontier uint64, done <-chan struct{}) laneStatus
 // frontier-synchronized lockstep. Build with NewBatchProc, run with
 // RunContext; single-use, not safe for concurrent use.
 type BatchProc struct {
-	shared *SharedProgram
-	lanes  []laneState
+	lanes []laneState
 	// chunk is the lockstep round length, batchChunk except in tests
 	// that need several rounds out of short programs.
 	chunk uint64
@@ -135,13 +136,13 @@ type BatchProc struct {
 }
 
 // NewBatchProc builds one pipeline lane per configuration, all over
-// the shared program sp. mems[i] is lane i's private initial data
+// the program prog. mems[i] is lane i's private initial data
 // image (the lane owns and mutates it; nil means an empty image);
 // len(mems) must equal len(cfgs). Every configuration is validated
 // eagerly, so a BatchProc that constructs is guaranteed runnable.
-func NewBatchProc(sp *SharedProgram, cfgs []Config, mems []*mem.Memory) (*BatchProc, error) {
-	if sp == nil {
-		return nil, errors.New("core: nil shared program")
+func NewBatchProc(prog *isa.Program, cfgs []Config, mems []*mem.Memory) (*BatchProc, error) {
+	if prog == nil {
+		return nil, errors.New("core: nil program")
 	}
 	if len(cfgs) == 0 {
 		return nil, errors.New("core: batch needs at least one lane")
@@ -149,9 +150,9 @@ func NewBatchProc(sp *SharedProgram, cfgs []Config, mems []*mem.Memory) (*BatchP
 	if len(mems) != len(cfgs) {
 		return nil, fmt.Errorf("core: batch has %d configs but %d memory images", len(cfgs), len(mems))
 	}
-	b := &BatchProc{shared: sp, lanes: make([]laneState, len(cfgs)), chunk: batchChunk}
+	b := &BatchProc{lanes: make([]laneState, len(cfgs)), chunk: batchChunk}
 	for i, cfg := range cfgs {
-		p, err := NewShared(cfg, sp, mems[i])
+		p, err := New(cfg, prog, mems[i])
 		if err != nil {
 			return nil, fmt.Errorf("core: batch lane %d: %w", i, err)
 		}

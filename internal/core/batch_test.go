@@ -32,15 +32,11 @@ func skipUnlessBatchedLeg(t *testing.T) {
 // batchLanes builds a BatchProc over b with one lane per config.
 func batchLanes(t *testing.T, b *workload.Benchmark, cfgs []Config) *BatchProc {
 	t.Helper()
-	sp, err := ShareProgram(b.Program)
-	if err != nil {
-		t.Fatal(err)
-	}
 	mems := make([]*mem.Memory, len(cfgs))
 	for i := range mems {
 		mems[i] = b.NewMem()
 	}
-	bp, err := NewBatchProc(sp, cfgs, mems)
+	bp, err := NewBatchProc(b.Program, cfgs, mems)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,27 +268,23 @@ func TestBatchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := ShareProgram(wl.Program)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bad := DefaultConfig(ModeCI)
 	bad.Replicas = -1
-	if _, err := NewBatchProc(sp, []Config{bad}, []*mem.Memory{wl.NewMem()}); err == nil {
+	if _, err := NewBatchProc(wl.Program, []Config{bad}, []*mem.Memory{wl.NewMem()}); err == nil {
 		t.Error("invalid lane config must fail NewBatchProc")
 	}
-	if _, err := NewBatchProc(sp, []Config{DefaultConfig(ModeCI)}, nil); err == nil {
+	if _, err := NewBatchProc(wl.Program, []Config{DefaultConfig(ModeCI)}, nil); err == nil {
 		t.Error("mismatched config/image counts must fail")
 	}
 	if _, err := NewBatchProc(nil, []Config{DefaultConfig(ModeCI)}, []*mem.Memory{nil}); err == nil {
 		t.Error("nil shared program must fail")
 	}
-	if _, err := NewBatchProc(sp, nil, nil); err == nil {
+	if _, err := NewBatchProc(wl.Program, nil, nil); err == nil {
 		t.Error("zero lanes must fail")
 	}
 	cfg := DefaultConfig(ModeCI)
 	cfg.MaxInstr = 1_000
-	bp, err := NewBatchProc(sp, []Config{cfg}, []*mem.Memory{wl.NewMem()})
+	bp, err := NewBatchProc(wl.Program, []Config{cfg}, []*mem.Memory{wl.NewMem()})
 	if err != nil {
 		t.Fatal(err)
 	}

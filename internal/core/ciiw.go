@@ -50,7 +50,7 @@ func (p *Proc) captureIW(branchIdx, reconv int, mask ci.RegMask) {
 		resolved := e.state == stDone || e.state == stExecuting
 		if resolved {
 			p.chainSet(int(e.physDest), value)
-		} else if e.state == stWaiting && !p.metaAt(int(e.pc)).isMem() && !p.metaAt(int(e.pc)).isControl() {
+		} else if e.state == stWaiting && !p.metaAt(int(e.pc)).IsMem() && !p.metaAt(int(e.pc)).IsControl() {
 			var vals [2]uint64
 			ok := true
 			for s := 0; s < int(e.nsrc); s++ {
@@ -78,7 +78,7 @@ func (p *Proc) captureIW(branchIdx, reconv int, mask ci.RegMask) {
 			continue
 		}
 
-		srcs := p.metaAt(int(e.pc)).srcRegs()
+		srcs := p.metaAt(int(e.pc)).Srcs()
 		indep := true
 		for _, r := range srcs {
 			if mask.Has(r) {

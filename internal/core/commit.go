@@ -84,7 +84,7 @@ func (p *Proc) commitStage() {
 
 		im := p.metaAt(int(h.pc))
 		switch {
-		case im.isStore():
+		case im.IsStore():
 			if storeBudget <= 0 {
 				return
 			}
@@ -107,17 +107,17 @@ func (p *Proc) commitStage() {
 					return
 				}
 			}
-		case im.isLoad():
+		case im.IsLoad():
 			p.Stats.Loads++
 			p.sp.Observe(uint64(h.pc), archAddr)
-		case im.isCondBr():
+		case im.IsCondBranch():
 			p.Stats.Branches++
 			p.Stats.CondBranches++
 			p.mbs.Update(uint64(h.pc), h.actTaken)
 			if p.nrbq != nil {
 				p.nrbq.RetireUpTo(h.seq)
 			}
-		case im.isJump():
+		case im.IsJump():
 			p.Stats.Branches++
 		}
 
@@ -130,9 +130,9 @@ func (p *Proc) commitStage() {
 // previous mapping's register, advances replica commit cursors, and
 // pops the ROB head.
 func (p *Proc) finishCommit(idx int, h *robEntry) {
-	if im := p.metaAt(int(h.pc)); im.isMem() {
+	if im := p.metaAt(int(h.pc)); im.IsMem() {
 		p.lsqRemove(idx)
-		if im.isStore() {
+		if im.IsStore() {
 			p.storeIndexRemove(idx, h)
 		}
 	}

@@ -42,12 +42,12 @@ func (p *Proc) completeStage() {
 			p.writeReg(int(e.physDest), e.value)
 		}
 		im := p.metaAt(int(e.pc))
-		if im.isLoad() && p.srsmt != nil && !e.fwdStore {
+		if im.IsLoad() && p.srsmt != nil && !e.fwdStore {
 			// A completed strided load anchors a fresh replica batch if
 			// the mechanism has selected it and no entry exists yet.
 			p.maybeVectorizeLoad(int(e.pc), e.in, e.addr, e.seq)
 		}
-		if im.isCondBr() {
+		if im.IsCondBranch() {
 			// Train the direction predictor at resolution with the
 			// history the prediction was made under.
 			p.bp.TrainAt(uint64(e.pc), e.actTaken, e.histSnapshot)
@@ -196,7 +196,7 @@ func (p *Proc) squashAfter(idx int) {
 			break
 		}
 		squashed++
-		if p.metaAt(int(e.pc)).isStore() {
+		if p.metaAt(int(e.pc)).IsStore() {
 			p.storeIndexRemove(i, e)
 		}
 		if e.hasDest {

@@ -382,7 +382,7 @@ func checkStoreIndex(t *testing.T, p *Proc) {
 	wantWords := map[uint64][]int32{}
 	for _, li := range p.lsq {
 		e := &p.rob[li]
-		if !e.valid || !p.metaAt(int(e.pc)).isStore() {
+		if !e.valid || !p.metaAt(int(e.pc)).IsStore() {
 			continue
 		}
 		if e.state == stWaiting {

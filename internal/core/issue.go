@@ -77,9 +77,9 @@ func (p *Proc) tryIssue(idx int, e *robEntry) bool {
 	}
 
 	switch {
-	case im.isLoad():
+	case im.IsLoad():
 		return p.tryIssueLoad(idx, e, a)
-	case im.isStore():
+	case im.IsStore():
 		// Stores compute address and value at issue (AGU, 1 cycle); the
 		// cache write happens at commit.
 		if p.aluFree <= 0 {
@@ -92,7 +92,7 @@ func (p *Proc) tryIssue(idx int, e *robEntry) bool {
 		e.state = stExecuting
 		p.storeAddrKnown(idx, e)
 		return true
-	case im.isCondBr():
+	case im.IsCondBranch():
 		if p.aluFree <= 0 {
 			return false
 		}

@@ -2,87 +2,20 @@ package core
 
 import "civect/internal/isa"
 
-// Pre-decode: the static program never changes, but the pipeline used
-// to re-derive every instruction's properties (destination, sources,
-// class flags) with per-opcode switches at fetch, rename, issue,
-// complete and commit — every cycle. New builds this table once; the
-// hot stages index it by PC.
-
-type instrFlags uint8
-
-const (
-	fLoad instrFlags = 1 << iota
-	fStore
-	fCondBr
-	fJump
-	fControl
-	fMem
-	fHasDest
-)
-
-// instrMeta is one pre-decoded static instruction.
-type instrMeta struct {
-	srcs  [2]isa.Reg
-	nsrc  uint8
-	dest  isa.Reg
-	flags instrFlags
-}
-
-func (m *instrMeta) isLoad() bool    { return m.flags&fLoad != 0 }
-func (m *instrMeta) isStore() bool   { return m.flags&fStore != 0 }
-func (m *instrMeta) isCondBr() bool  { return m.flags&fCondBr != 0 }
-func (m *instrMeta) isJump() bool    { return m.flags&fJump != 0 }
-func (m *instrMeta) isControl() bool { return m.flags&fControl != 0 }
-func (m *instrMeta) isMem() bool     { return m.flags&fMem != 0 }
-func (m *instrMeta) hasDest() bool   { return m.flags&fHasDest != 0 }
-
-// srcRegs returns the instruction's source registers; the result
-// aliases the table and must not be mutated.
-func (m *instrMeta) srcRegs() []isa.Reg { return m.srcs[:m.nsrc] }
+// Pre-decode: the static program never changes, so the hot stages
+// (fetch, rename, issue, complete, commit) index the program's decode
+// table by PC instead of re-deriving every instruction's properties with
+// per-opcode switches each cycle. The table is built once per program
+// (isa.Program.Decode) and shared by every processor over it.
 
 // haltMeta mirrors Program.At's out-of-image behaviour: wrong-path
 // fetch past the end reads as halt.
-var haltMeta = instrMeta{flags: fControl}
+var haltMeta = isa.DecodeInstr(isa.Instr{Op: isa.OpHalt})
 
 // metaAt returns the pre-decoded metadata for pc.
-func (p *Proc) metaAt(pc int) *instrMeta {
+func (p *Proc) metaAt(pc int) *isa.Decoded {
 	if pc < 0 || pc >= len(p.imeta) {
 		return &haltMeta
 	}
 	return &p.imeta[pc]
-}
-
-// predecode builds the per-PC metadata table.
-func predecode(prog *isa.Program) []instrMeta {
-	meta := make([]instrMeta, prog.Len())
-	var scratch [2]isa.Reg
-	for pc := range meta {
-		in := prog.At(pc)
-		m := &meta[pc]
-		if in.IsLoad() {
-			m.flags |= fLoad
-		}
-		if in.IsStore() {
-			m.flags |= fStore
-		}
-		if in.IsCondBranch() {
-			m.flags |= fCondBr
-		}
-		if in.IsJump() {
-			m.flags |= fJump
-		}
-		if in.IsControl() {
-			m.flags |= fControl
-		}
-		if in.IsMem() {
-			m.flags |= fMem
-		}
-		if dest, ok := in.WritesReg(); ok {
-			m.flags |= fHasDest
-			m.dest = dest
-		}
-		srcs := in.SrcRegs(scratch[:0])
-		m.nsrc = uint8(copy(m.srcs[:], srcs))
-	}
-	return meta
 }

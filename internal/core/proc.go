@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"civect/internal/bpred"
@@ -238,10 +239,10 @@ func (r entryRef) live() bool { return r.hdr.Valid && r.hdr.Gen == r.gen }
 type Proc struct {
 	cfg  Config
 	prog *isa.Program
-	// imeta pre-decodes the static program (predecode.go); hot stages
-	// read instruction classes and operands from it instead of
+	// imeta is the program's shared decode table (predecode.go); hot
+	// stages read instruction classes and operands from it instead of
 	// re-deriving them with opcode switches every cycle.
-	imeta []instrMeta
+	imeta []isa.Decoded
 	mem   *mem.Memory
 
 	// Architectural committed state.
@@ -418,24 +419,22 @@ type Proc struct {
 }
 
 // New builds a processor over prog and data memory m (which it owns and
-// mutates at commit). The configuration is validated. Sweeps running
-// many configurations over one program share the decode work instead:
-// ShareProgram once, then NewShared (or BatchProc) per lane.
+// mutates at commit; nil m means an empty image). The configuration is
+// validated. The program is validated and decoded on its first use only
+// (isa.Program.Decode), so building many processors over one program —
+// a sweep's configuration points, a sampled run's sample machines —
+// costs each one only its own pipeline state.
 func New(cfg Config, prog *isa.Program, m *mem.Memory) (*Proc, error) {
-	sp, err := ShareProgram(prog)
+	if prog == nil {
+		return nil, errors.New("core: nil program")
+	}
+	imeta, err := prog.Decode()
 	if err != nil {
 		return nil, err
 	}
-	return build(cfg, sp, m)
-}
-
-// build assembles a processor from a validated shared program; New and
-// NewShared both land here.
-func build(cfg Config, sp *SharedProgram, m *mem.Memory) (*Proc, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	prog := sp.prog
 	if m == nil {
 		m = mem.New()
 	}
@@ -446,7 +445,7 @@ func build(cfg Config, sp *SharedProgram, m *mem.Memory) (*Proc, error) {
 	p := &Proc{
 		cfg:   cfg,
 		prog:  prog,
-		imeta: sp.imeta,
+		imeta: imeta,
 		mem:   m,
 		rf:    regfile.NewFile(cfg.PhysRegs),
 		rob:   make([]robEntry, cfg.WindowSize),

@@ -41,14 +41,14 @@ const (
 	hazardRegs
 )
 
-func (p *Proc) renameHazardFor(im *instrMeta) renameHazard {
+func (p *Proc) renameHazardFor(im *isa.Decoded) renameHazard {
 	if p.robCount >= len(p.rob) {
 		return hazardWindow
 	}
-	if im.isMem() && len(p.lsq) >= p.cfg.LSQSize {
+	if im.IsMem() && len(p.lsq) >= p.cfg.LSQSize {
 		return hazardLSQ
 	}
-	if im.hasDest() {
+	if im.HasDest() {
 		need := 1
 		if p.cfg.Mode.Vectorizes() {
 			need += p.cfg.RenameRegHeadroom
@@ -77,7 +77,7 @@ func (p *Proc) tryRename(f *fetchedInstr) bool {
 	case hazardWindow, hazardLSQ:
 		return false
 	}
-	dest, hasDest := im.dest, im.hasDest()
+	dest, hasDest := im.Dest(), im.HasDest()
 
 	p.seq++
 	idx := p.robAlloc()
@@ -96,7 +96,7 @@ func (p *Proc) tryRename(f *fetchedInstr) bool {
 		p.tracer.OnTraceRename(p.cycle, e.seq, e.pc)
 	}
 
-	srcs := im.srcRegs()
+	srcs := im.Srcs()
 	e.nsrc = uint8(len(srcs))
 	var srcSnap [2]renEntry
 	for i, r := range srcs {
@@ -129,12 +129,12 @@ func (p *Proc) tryRename(f *fetchedInstr) bool {
 		// The control-independent region runs from the re-convergent
 		// point to the next conditional branch (Figure 1 boxes I11-I14);
 		// selection stops there.
-		if e.afterCRP && im.isCondBr() {
+		if e.afterCRP && im.IsCondBranch() {
 			p.crp.Deactivate()
 		}
 		// NRBQ maintenance: branches open a new write-mask region;
 		// destinations accumulate into the newest region.
-		if im.isCondBr() {
+		if im.IsCondBranch() {
 			p.nrbq.PushBranch(e.seq, uint64(f.pc), ci.EstimateReconvergence(p.prog, f.pc))
 		} else if hasDest {
 			p.nrbq.NoteDest(dest)
@@ -174,7 +174,7 @@ func (p *Proc) tryRename(f *fetchedInstr) bool {
 	}
 
 	// SRSMT validation (ModeCI/ModeVect, §2.3.4).
-	if p.srsmt != nil && !e.reuseIW && hasDest && !im.isControl() {
+	if p.srsmt != nil && !e.reuseIW && hasDest && !im.IsControl() {
 		if ent := p.srsmt.Lookup(uint64(f.pc)); ent != nil {
 			switch p.tryValidate(e, ent, srcSnap[:e.nsrc]) {
 			case valOK:
@@ -229,8 +229,8 @@ func (p *Proc) tryRename(f *fetchedInstr) bool {
 	// Vectorization trigger for dependents (§2.3.3). Loads are
 	// vectorized at commit, where their architectural address anchors
 	// the replica sequence exactly (see maybeVectorizeLoad).
-	if p.srsmt != nil && !e.validated && !e.reuseIW && !im.isLoad() &&
-		hasDest && !im.isControl() {
+	if p.srsmt != nil && !e.validated && !e.reuseIW && !im.IsLoad() &&
+		hasDest && !im.IsControl() {
 		p.maybeVectorizeArith(f.pc, in, srcSnap[:e.nsrc], int(e.physDest), e.seq)
 	}
 
@@ -244,15 +244,15 @@ func (p *Proc) tryRename(f *fetchedInstr) bool {
 		e.state = stValidPend
 		e.valSince = p.cycle
 		p.validPend = append(p.validPend, waitRef{idx: idx, seq: e.seq})
-	case in.Op == isa.OpNop || in.Op == isa.OpHalt || im.isJump():
+	case in.Op == isa.OpNop || in.Op == isa.OpHalt || im.IsJump():
 		// Nothing to execute: jumps are resolved at fetch (direct
 		// targets), nop and halt produce nothing.
 		e.state = stDone
 		e.executed = true
 	default:
-		if im.isMem() {
+		if im.IsMem() {
 			p.lsq = append(p.lsq, idx)
-			if im.isStore() {
+			if im.IsStore() {
 				p.storeDispatch(e.seq)
 			}
 		}
@@ -280,7 +280,7 @@ func (p *Proc) iwRemapped(seq uint64) uint64 {
 // capped at StridedPCsPerEntry. The union is built in-place and stored
 // in a pooled stride-pool slot; nothing escapes to the heap.
 func (p *Proc) propagateStridedPCs(nre *renEntry, pc int, in isa.Instr, snap []renEntry) {
-	if p.metaAt(pc).isLoad() {
+	if p.metaAt(pc).IsLoad() {
 		if se := p.sp.Lookup(uint64(pc)); se != nil && se.Confident() && se.Stride != 0 {
 			p.Stats.StridedPCsSum++
 			p.Stats.StridedPCsCount++

@@ -57,8 +57,9 @@ type CheckpointInfo struct {
 
 // HashProgram exposes the checkpoint program digest to sibling
 // serializers (internal/sample's state files carry the same triple —
-// name, length, hash — and must refuse the same mismatches).
-func HashProgram(prog *isa.Program) uint64 { return programHash(prog) }
+// name, length, hash — and must refuse the same mismatches). The digest
+// is computed once per program (isa.Program.Hash).
+func HashProgram(prog *isa.Program) uint64 { return prog.Hash() }
 
 // SaveConfigState / LoadConfigState expose the checkpoint Config
 // encoding for the same reason: a sample-state file is self-describing,
@@ -67,32 +68,6 @@ func SaveConfigState(e *ckpt.Encoder, c *Config) { saveConfig(e, c) }
 
 // LoadConfigState decodes a Config written by SaveConfigState.
 func LoadConfigState(d *ckpt.Decoder) Config { return loadConfig(d) }
-
-// programHash digests a static program (name and every instruction
-// field) so a checkpoint can refuse restoration over the wrong program.
-func programHash(prog *isa.Program) uint64 {
-	const (
-		offset = 0xcbf29ce484222325
-		prime  = 0x00000100000001b3
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime
-		}
-	}
-	for _, c := range []byte(prog.Name) {
-		h ^= uint64(c)
-		h *= prime
-	}
-	for _, in := range prog.Code {
-		mix(uint64(in.Op) | uint64(in.Rd)<<8 | uint64(in.Ra)<<16 | uint64(in.Rb)<<24)
-		mix(uint64(in.Imm))
-		mix(uint64(in.Target))
-	}
-	return h
-}
 
 func saveConfig(e *ckpt.Encoder, c *Config) {
 	e.Tag("config")
@@ -484,7 +459,7 @@ func (p *Proc) SaveCheckpoint(base *mem.Memory) []byte {
 	e.Tag("prog")
 	e.Str(p.prog.Name)
 	e.Int(p.prog.Len())
-	e.U64(programHash(p.prog))
+	e.U64(p.prog.Hash())
 
 	e.Tag("arch")
 	e.U64(p.cycle)
@@ -719,11 +694,11 @@ func PeekCheckpoint(data []byte) (CheckpointInfo, error) {
 }
 
 // RestoreCheckpoint rebuilds a processor from a sealed checkpoint
-// container. sp must share the program the checkpoint was taken over
+// container. prog must be the program the checkpoint was taken over
 // (verified by name, length and hash); base must be the same pristine
 // initial memory image passed to SaveCheckpoint (nil if it was nil).
 // The restored processor carries no observer or tracer.
-func RestoreCheckpoint(data []byte, sp *SharedProgram, base *mem.Memory) (*Proc, error) {
+func RestoreCheckpoint(data []byte, prog *isa.Program, base *mem.Memory) (*Proc, error) {
 	payload, err := ckpt.Open(data, CheckpointVersion)
 	if err != nil {
 		return nil, err
@@ -739,15 +714,15 @@ func RestoreCheckpoint(data []byte, sp *SharedProgram, base *mem.Memory) (*Proc,
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if sp == nil {
-		return nil, fmt.Errorf("core: restore needs a shared program")
+	if prog == nil {
+		return nil, fmt.Errorf("core: restore needs a program")
 	}
-	if sp.prog.Name != name || sp.prog.Len() != plen || programHash(sp.prog) != phash {
+	if prog.Name != name || prog.Len() != plen || prog.Hash() != phash {
 		return nil, fmt.Errorf("core: checkpoint was taken over program %q (len %d, hash %016x), not the supplied %q (len %d, hash %016x)",
-			name, plen, phash, sp.prog.Name, sp.prog.Len(), programHash(sp.prog))
+			name, plen, phash, prog.Name, prog.Len(), prog.Hash())
 	}
 
-	p, err := build(cfg, sp, mem.New())
+	p, err := New(cfg, prog, mem.New())
 	if err != nil {
 		return nil, fmt.Errorf("core: restore: %w", err)
 	}
@@ -1001,23 +976,6 @@ func RestoreCheckpoint(data []byte, sp *SharedProgram, base *mem.Memory) (*Proc,
 	return p, nil
 }
 
-// copyState transfers one component's serialized state into another
-// instance of identical geometry via the checkpoint codec — the
-// transplant mechanism functional warming uses.
-func copyState(save func(*ckpt.Encoder), load func(*ckpt.Decoder)) error {
-	var e ckpt.Encoder
-	save(&e)
-	d := ckpt.NewDecoder(e.Bytes())
-	load(d)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("core: warm-state transplant left %d bytes", d.Remaining())
-	}
-	return nil
-}
-
 // AdoptWarmState installs functionally-warmed microarchitectural state
 // — branch predictor, MBS filter, stride predictor and the four cache
 // levels' tag/LRU arrays — into a freshly built processor, SMARTS-style:
@@ -1033,29 +991,24 @@ func (p *Proc) AdoptWarmState(g *bpred.Gshare, mbs *bpred.MBS, sp *stride.Predic
 	if p.cycle != 0 || p.seq != 0 || p.Stats.Committed != 0 {
 		return fmt.Errorf("core: AdoptWarmState on a processor that has already run (cycle %d)", p.cycle)
 	}
-	type pair struct {
-		save func(*ckpt.Encoder)
-		load func(*ckpt.Decoder)
-	}
-	var pairs []pair
-	if g != nil {
-		pairs = append(pairs, pair{g.SaveState, p.bp.LoadState})
-	}
-	if mbs != nil {
-		pairs = append(pairs, pair{mbs.SaveState, p.mbs.LoadState})
-	}
-	if sp != nil {
-		pairs = append(pairs, pair{sp.SaveState, p.sp.LoadState})
-	}
-	for _, c := range []struct{ src, dst *cache.Cache }{
-		{l1i, p.hier.L1I}, {l1d, p.hier.L1D}, {l2, p.hier.L2}, {l3, p.hier.L3},
+	// Each structure is copied field for field into its counterpart of
+	// the same geometry; a mismatch fails before that structure changes.
+	for _, st := range []struct {
+		cold bool
+		copy func() error
+	}{
+		{g == nil, func() error { return p.bp.CopyFrom(g) }},
+		{mbs == nil, func() error { return p.mbs.CopyFrom(mbs) }},
+		{sp == nil, func() error { return p.sp.CopyFrom(sp) }},
+		{l1i == nil, func() error { return p.hier.L1I.CopyFrom(l1i) }},
+		{l1d == nil, func() error { return p.hier.L1D.CopyFrom(l1d) }},
+		{l2 == nil, func() error { return p.hier.L2.CopyFrom(l2) }},
+		{l3 == nil, func() error { return p.hier.L3.CopyFrom(l3) }},
 	} {
-		if c.src != nil {
-			pairs = append(pairs, pair{c.src.SaveState, c.dst.LoadState})
+		if st.cold {
+			continue
 		}
-	}
-	for _, pr := range pairs {
-		if err := copyState(pr.save, pr.load); err != nil {
+		if err := st.copy(); err != nil {
 			return fmt.Errorf("core: warm-state transplant: %w", err)
 		}
 	}

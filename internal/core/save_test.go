@@ -48,13 +48,9 @@ func runToEnd(t *testing.T, p *Proc) *Stats {
 // never shares memory with the original).
 func checkpointAndResume(t *testing.T, b *workload.Benchmark, cfg Config, splitAt uint64) {
 	t.Helper()
-	sp, err := ShareProgram(b.Program)
-	if err != nil {
-		t.Fatal(err)
-	}
 	base := b.NewMem()
 
-	orig, err := NewShared(cfg, sp, b.NewMem())
+	orig, err := New(cfg, b.Program, b.NewMem())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +66,7 @@ func checkpointAndResume(t *testing.T, b *workload.Benchmark, cfg Config, splitA
 			info, orig.cycle, orig.Stats.Committed, b.Program.Name)
 	}
 
-	restored, err := RestoreCheckpoint(data, sp, base)
+	restored, err := RestoreCheckpoint(data, b.Program, base)
 	if err != nil {
 		t.Fatalf("restore at %d committed: %v", splitAt, err)
 	}
@@ -195,11 +191,7 @@ func TestCheckpointDeterministicEncoding(t *testing.T) {
 		t.Fatal("two saves of the same state produced different bytes")
 	}
 	// And a restored machine must re-serialize to the same bytes.
-	sp, err := ShareProgram(wl.Program)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := RestoreCheckpoint(a, sp, base)
+	r, err := RestoreCheckpoint(a, wl.Program, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +220,7 @@ func TestCheckpointProgramMismatch(t *testing.T) {
 
 	other := &isa.Program{Name: wl.Program.Name, Code: append([]isa.Instr(nil), wl.Program.Code...)}
 	other.Code[0].Imm++
-	osp, err := ShareProgram(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RestoreCheckpoint(data, osp, base); err == nil {
+	if _, err := RestoreCheckpoint(data, other, base); err == nil {
 		t.Fatal("restore over a tampered program succeeded")
 	}
 	if _, err := RestoreCheckpoint(data, nil, base); err == nil {
@@ -257,20 +245,16 @@ func TestCheckpointCorruptionRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	runToCommit(t, p, 500)
-	sp, err := ShareProgram(wl.Program)
-	if err != nil {
-		t.Fatal(err)
-	}
 	data := p.SaveCheckpoint(base)
 	for pos := 0; pos < len(data); pos += 97 {
 		mut := append([]byte(nil), data...)
 		mut[pos] ^= 0x40
-		if _, err := RestoreCheckpoint(mut, sp, base); err == nil {
+		if _, err := RestoreCheckpoint(mut, wl.Program, base); err == nil {
 			t.Fatalf("flipped byte at %d restored without error", pos)
 		}
 	}
 	for cut := 0; cut < len(data); cut += 101 {
-		if _, err := RestoreCheckpoint(data[:cut], sp, base); err == nil {
+		if _, err := RestoreCheckpoint(data[:cut], wl.Program, base); err == nil {
 			t.Fatalf("truncation to %d bytes restored without error", cut)
 		}
 	}
@@ -358,15 +342,11 @@ func TestCheckpointMemoryDelta(t *testing.T) {
 		t.Logf("delta encoding not smaller (%d vs %d bytes) — acceptable but unexpected for a store-heavy run",
 			len(withBase), len(selfContained))
 	}
-	sp, err := ShareProgram(wl.Program)
+	ra, err := RestoreCheckpoint(withBase, wl.Program, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := RestoreCheckpoint(withBase, sp, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := RestoreCheckpoint(selfContained, sp, nil)
+	rb, err := RestoreCheckpoint(selfContained, wl.Program, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -265,7 +265,7 @@ func (p *Proc) maybeVectorizeArith(pc int, in isa.Instr, snap []renEntry, destPh
 
 	var refs [2]ci.OperandRef
 	seedPhys := -1
-	srcs := p.metaAt(pc).srcRegs()
+	srcs := p.metaAt(pc).Srcs()
 	for i := range snap {
 		sn := snap[i]
 		switch {
@@ -881,7 +881,7 @@ func (p *Proc) fallbackToExec(idx int) {
 	e.valEntry = nil
 	e.copySched = false
 	e.state = stWaiting
-	if p.metaAt(int(e.pc)).isMem() {
+	if p.metaAt(int(e.pc)).IsMem() {
 		p.lsqInsertOrdered(idx)
 	}
 	// Validated instances advertised themselves in the rename map

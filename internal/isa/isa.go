@@ -191,10 +191,16 @@ func (i Instr) String() string {
 
 // Program is a static program image: code plus an optional description of
 // the initial data memory (applied by the caller through mem.Memory).
+//
+// Code and Name must not change after the program's first use: its
+// validation, decode table (Decode) and digest (Hash) are computed once
+// and kept with it. Build a new Program instead of editing one.
 type Program struct {
 	Code []Instr
 	// Name identifies the program in stats and logs.
 	Name string
+
+	derived derived
 }
 
 // Len returns the number of static instructions.

@@ -20,13 +20,19 @@ import (
 // the raw form is both smaller and cheaper to apply.
 const rawPageThreshold = pageWords / 2
 
-// SaveDelta encodes m as sparse deltas over base.
+// SaveDelta encodes m as sparse deltas over base. A page m still shares
+// with base (the same page pointer, never written since the clone) has no
+// deltas by construction and is skipped without a scan, so the cost is
+// proportional to the pages m has written, not to the image.
 func (m *Memory) SaveDelta(e *ckpt.Encoder, base *Memory) {
 	e.Tag("mem")
-	var zero [pageWords]uint64
+	var zero page
 
 	keys := make([]uint64, 0, len(m.pages))
-	for k := range m.pages {
+	for k, r := range m.pages {
+		if base != nil && base.pages[k].p == r.p {
+			continue
+		}
 		keys = append(keys, k)
 	}
 	if base != nil {
@@ -43,32 +49,31 @@ func (m *Memory) SaveDelta(e *ckpt.Encoder, base *Memory) {
 	// Two passes keep the page count a plain prefix field: count first,
 	// then emit. The diff scan is cheap relative to the encode.
 	type pageDiff struct {
-		key   uint64
-		idxs  []int
-		page  *[pageWords]uint64
-		bpage *[pageWords]uint64
+		key  uint64
+		idxs []int
+		page *page
 	}
 	diffs := make([]pageDiff, 0, len(keys))
 	for _, k := range keys {
-		page := m.pages[k]
-		if page == nil {
-			page = &zero
+		pg := m.pages[k].p
+		if pg == nil {
+			pg = &zero
 		}
-		var bpage *[pageWords]uint64
+		var bpage *page
 		if base != nil {
-			bpage = base.pages[k]
+			bpage = base.pages[k].p
 		}
 		if bpage == nil {
 			bpage = &zero
 		}
 		var idxs []int
-		for i := range page {
-			if page[i] != bpage[i] {
+		for i := range pg {
+			if pg[i] != bpage[i] {
 				idxs = append(idxs, i)
 			}
 		}
 		if len(idxs) > 0 {
-			diffs = append(diffs, pageDiff{key: k, idxs: idxs, page: page, bpage: bpage})
+			diffs = append(diffs, pageDiff{key: k, idxs: idxs, page: pg})
 		}
 	}
 
@@ -92,7 +97,9 @@ func (m *Memory) SaveDelta(e *ckpt.Encoder, base *Memory) {
 }
 
 // LoadDelta decodes a memory image written by SaveDelta: a clone of base
-// (empty for nil base) with the deltas applied. Errors latch in d.
+// (empty for nil base) with the deltas applied. Only the pages the deltas
+// touch are copied; a raw page is decoded straight into a fresh page.
+// Errors latch in d.
 func LoadDelta(d *ckpt.Decoder, base *Memory) *Memory {
 	d.Tag("mem")
 	var m *Memory
@@ -108,17 +115,15 @@ func LoadDelta(d *ckpt.Decoder, base *Memory) *Memory {
 		if d.Err() != nil {
 			return m
 		}
-		page := m.pages[key]
-		if page == nil {
-			page = new([pageWords]uint64)
-			m.pages[key] = page
-		}
 		switch mode {
 		case 1:
-			for i := range page {
-				page[i] = d.U64()
+			pg := new(page)
+			for i := range pg {
+				pg[i] = d.U64()
 			}
+			m.install(key, pg)
 		case 0:
+			pg := m.own(key, m.pages[key].p)
 			ndiff := d.Count()
 			for j := 0; j < ndiff; j++ {
 				i := d.U32()
@@ -127,7 +132,7 @@ func LoadDelta(d *ckpt.Decoder, base *Memory) *Memory {
 					d.Fail("memory delta word index %d out of page range", i)
 					return m
 				}
-				page[i] = v
+				pg[i] = v
 			}
 		default:
 			d.Fail("unknown memory page mode %d", mode)

@@ -109,8 +109,7 @@ func Run(ctx context.Context, plan *Plan, prog *isa.Program, image *mem.Memory, 
 	if len(plan.Samples) == 0 {
 		return nil, fmt.Errorf("sample: empty plan")
 	}
-	sp, err := core.ShareProgram(prog)
-	if err != nil {
+	if _, err := prog.Decode(); err != nil {
 		return nil, err
 	}
 	var m *mem.Memory
@@ -138,7 +137,7 @@ func Run(ctx context.Context, plan *Plan, prog *isa.Program, image *mem.Memory, 
 		}
 
 		warmupInstr := s.Start - warmStart
-		res, detailed, err := measureSample(sp, cfg, s, warmupInstr, cpu.Mem.Clone(), cpu.Regs, cpu.PC, w)
+		res, detailed, err := measureSample(prog, cfg, s, warmupInstr, cpu.Mem.Clone(), cpu.Regs, cpu.PC, w)
 		if err != nil {
 			return nil, err
 		}
@@ -155,11 +154,11 @@ func Run(ctx context.Context, plan *Plan, prog *isa.Program, image *mem.Memory, 
 // instruction count spent. It is the one measurement path: Run feeds it
 // live fast-forward state, RunFromState feeds it state restored from a
 // capture file, and the two must produce identical results.
-func measureSample(sp *core.SharedProgram, cfg core.Config, s PlanSample, warmupInstr uint64, m *mem.Memory, regs [isa.NumLogical]uint64, pc int, w *warmer) (SampleResult, uint64, error) {
+func measureSample(prog *isa.Program, cfg core.Config, s PlanSample, warmupInstr uint64, m *mem.Memory, regs [isa.NumLogical]uint64, pc int, w *warmer) (SampleResult, uint64, error) {
 	scfg := cfg
 	scfg.MaxInstr = warmupInstr + s.Len
 	scfg.MaxCycles = 0
-	proc, err := core.NewShared(scfg, sp, m)
+	proc, err := core.New(scfg, prog, m)
 	if err != nil {
 		return SampleResult{}, 0, err
 	}

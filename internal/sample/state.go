@@ -184,8 +184,7 @@ func RunFromState(ctx context.Context, data []byte, prog *isa.Program, image *me
 		return nil, fmt.Errorf("sample: state was captured over program %q (hash %016x), not the supplied %q (hash %016x)",
 			info.Program, info.ProgramHash, prog.Name, core.HashProgram(prog))
 	}
-	sp, err := core.ShareProgram(prog)
-	if err != nil {
+	if _, err := prog.Decode(); err != nil {
 		return nil, err
 	}
 
@@ -217,7 +216,7 @@ func RunFromState(ctx context.Context, data []byte, prog *isa.Program, image *me
 		if s.Start > info.Warmup {
 			warmStart = s.Start - info.Warmup
 		}
-		res, detailed, err := measureSample(sp, info.Config, s, s.Start-warmStart, m, regs, pc, w)
+		res, detailed, err := measureSample(prog, info.Config, s, s.Start-warmStart, m, regs, pc, w)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,10 @@
 package stride
 
-import "civect/internal/ckpt"
+import (
+	"fmt"
+
+	"civect/internal/ckpt"
+)
 
 // Checkpoint serialization: the warm stride table, LRU stamps and clock
 // included — replacement decisions after a restore must match the
@@ -46,4 +50,15 @@ func (p *Predictor) LoadState(d *ckpt.Decoder) {
 		w.lru = d.U64()
 	}
 	p.clock = d.U64()
+}
+
+// CopyFrom overwrites p's state with src's — the warm-state transplant,
+// without a round trip through bytes. The geometries must match.
+func (p *Predictor) CopyFrom(src *Predictor) error {
+	if len(src.ways) != len(p.ways) {
+		return fmt.Errorf("stride geometry mismatch: source has %d ways, predictor has %d", len(src.ways), len(p.ways))
+	}
+	copy(p.ways, src.ways)
+	p.clock = src.clock
+	return nil
 }

@@ -109,6 +109,7 @@ func Random(seed int64) *Benchmark {
 	if err != nil {
 		panic(fmt.Sprintf("workload: random program invalid: %v\n%s", err, src))
 	}
+	image.Freeze()
 	return &Benchmark{
 		Params:  Params{Name: prog.Name, Iters: iters, Seed: seed},
 		Program: prog,

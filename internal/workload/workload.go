@@ -103,12 +103,14 @@ type Params struct {
 type Benchmark struct {
 	Params  Params
 	Program *isa.Program
-	// NewMem returns a fresh copy of the initial data image; each
-	// simulation run needs its own.
+	// image is the initial data image, frozen once generated so that
+	// concurrent NewMem calls only ever read it.
 	image *mem.Memory
 }
 
-// NewMem returns an independent copy of the benchmark's initial memory.
+// NewMem returns an independent copy of the benchmark's initial memory;
+// each simulation run needs its own. The copy shares the image's pages
+// until it writes them, so it costs the page table, not the image.
 func (b *Benchmark) NewMem() *mem.Memory { return b.image.Clone() }
 
 // Layout constants: stream arrays live at 1MB-spaced bases so distinct
@@ -241,6 +243,7 @@ func Generate(p Params) (*Benchmark, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload %s: %v\nsource:\n%s", p.Name, err, src)
 	}
+	image.Freeze()
 	return &Benchmark{Params: p, Program: prog, image: image}, nil
 }
 

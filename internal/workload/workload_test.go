@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"sync"
 	"testing"
 
 	"civect/internal/emu"
@@ -75,6 +76,46 @@ func TestNewMemIsolation(t *testing.T) {
 	m1.Write64(0x10_0000, 999999)
 	if m2.Read64(0x10_0000) == 999999 {
 		t.Error("NewMem must return independent copies")
+	}
+}
+
+// TestNewMemConcurrent runs two goroutines that each clone the shared
+// (frozen) image and run the emulator to completion over their clone, as
+// the harness's workers do; under -race this must be clean, and every
+// run must end in the same memory state with the image left pristine.
+func TestNewMemConcurrent(t *testing.T) {
+	b, err := SpecWithIters("gcc", 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine := b.NewMem().Checksum()
+	sums := make([]uint64, 8)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < len(sums); i += 2 {
+				cpu := emu.New(b.NewMem())
+				if err := cpu.Run(b.Program, 0); err != nil {
+					t.Error(err)
+					return
+				}
+				sums[i] = cpu.Mem.Checksum()
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i, s := range sums {
+		if s != sums[0] {
+			t.Fatalf("run %d ended with memory checksum %#x, run 0 with %#x", i, s, sums[0])
+		}
+	}
+	if sums[0] == pristine {
+		t.Fatal("runs wrote nothing; the test exercises no copy-on-write")
+	}
+	if got := b.NewMem().Checksum(); got != pristine {
+		t.Errorf("image changed under concurrent runs: checksum %#x, want %#x", got, pristine)
 	}
 }
 

@@ -100,12 +100,8 @@ func Resume(path string, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: checkpoint program %q is not a registry workload: %w", info.Program, err)
 	}
-	sp, err := core.ShareProgram(w.prog)
-	if err != nil {
-		return nil, err
-	}
 	base := w.newMem()
-	p, err := core.RestoreCheckpoint(data, sp, base)
+	p, err := core.RestoreCheckpoint(data, w.prog, base)
 	if err != nil {
 		return nil, err
 	}

@@ -67,7 +67,6 @@ type Set struct {
 	Workers int
 
 	w      *Workload
-	shared *core.SharedProgram
 	points []setPoint
 	swept  bool
 }
@@ -89,11 +88,10 @@ func NewSet(w *Workload, points ...PointOpts) (*Set, error) {
 	if len(points) == 0 {
 		return nil, errors.New("sim: a set needs at least one point")
 	}
-	shared, err := core.ShareProgram(w.prog)
-	if err != nil {
+	if _, err := w.prog.Decode(); err != nil {
 		return nil, err
 	}
-	s := &Set{w: w, shared: shared, points: make([]setPoint, len(points))}
+	s := &Set{w: w, points: make([]setPoint, len(points))}
 	for i, opts := range points {
 		st := settings{cfg: DefaultConfig(CI)}
 		for _, o := range opts {
@@ -297,7 +295,7 @@ func (s *Set) runUnit(ctx context.Context, u sweepUnit, out chan<- PointResult) 
 		cfgs[li] = s.points[lane[0]].cfg
 		mems[li] = s.w.newMem()
 	}
-	bp, err := core.NewBatchProc(s.shared, cfgs, mems)
+	bp, err := core.NewBatchProc(s.w.prog, cfgs, mems)
 	if err != nil {
 		for _, lane := range u.lanes {
 			for _, idx := range lane {
