@@ -33,8 +33,8 @@ func (g *Gshare) LoadState(d *ckpt.Decoder) {
 		d.Fail("gshare size mismatch: checkpoint has %d entries, predictor has %d", n, len(g.table))
 		return
 	}
-	for i := range g.table {
-		g.table[i] = d.U8()
+	if b := d.Raw(n); b != nil {
+		copy(g.table, b)
 	}
 	g.history = d.U64()
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"civect/internal/ckpt"
@@ -40,11 +41,27 @@ func (c *Cache) LoadState(d *ckpt.Decoder) {
 		d.Fail("cache geometry mismatch: checkpoint has %d lines, cache has %d", n, len(c.lines))
 		return
 	}
+	// Lines decode in bulk: each is tag, valid, dirty, lru — 18 bytes.
+	const lineBytes = 18
+	base := d.Offset()
+	b := d.Raw(len(c.lines) * lineBytes)
+	if b == nil {
+		return
+	}
 	for i := range c.lines {
-		c.lines[i].tag = d.U64()
-		c.lines[i].valid = d.Bool()
-		c.lines[i].dirty = d.Bool()
-		c.lines[i].lru = d.U64()
+		l := b[i*lineBytes : (i+1)*lineBytes]
+		for _, j := range []int{8, 9} {
+			if l[j] > 1 {
+				d.Fail("malformed bool at offset %d", base+i*lineBytes+j)
+				return
+			}
+		}
+		c.lines[i] = line{
+			tag:   binary.LittleEndian.Uint64(l),
+			valid: l[8] == 1,
+			dirty: l[9] == 1,
+			lru:   binary.LittleEndian.Uint64(l[10:]),
+		}
 	}
 	c.clock = d.U64()
 	c.Stats.Accesses = d.U64()

@@ -121,7 +121,7 @@ func (d *Decoder) take(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if d.off+n > len(d.buf) {
+	if n > len(d.buf)-d.off {
 		d.fail("payload truncated: need %d bytes at offset %d, have %d", n, d.off, len(d.buf)-d.off)
 		return nil
 	}
@@ -174,6 +174,23 @@ func (d *Decoder) Bool() bool {
 		d.fail("malformed bool at offset %d", d.off-1)
 		return false
 	}
+}
+
+// Offset returns the payload offset of the next undecoded byte, so a
+// deserializer that validates a Raw block can name the exact offset
+// of a bad byte.
+func (d *Decoder) Offset() int { return d.off }
+
+// Raw returns the next n payload bytes as they were encoded, for
+// deserializers that decode fixed-width arrays in bulk. A block
+// running past the payload latches the truncation error and returns
+// nil. The bytes alias the payload and must not be modified.
+func (d *Decoder) Raw(n int) []byte {
+	if n < 0 {
+		d.fail("negative raw length %d at offset %d", n, d.off)
+		return nil
+	}
+	return d.take(n)
 }
 
 // F64 reads a float64 written by Encoder.F64.

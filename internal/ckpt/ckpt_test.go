@@ -172,3 +172,33 @@ func TestWriteFileAtomicRoundTrip(t *testing.T) {
 		t.Fatalf("directory holds %d entries, want just the checkpoint", len(ents))
 	}
 }
+
+// TestRaw: Raw returns the next n bytes as encoded and advances past
+// them; a block past the payload end (or a negative length) latches an
+// error instead of panicking.
+func TestRaw(t *testing.T) {
+	var e Encoder
+	e.U8(1)
+	e.U32(0x04030201)
+	e.U8(9)
+	d := NewDecoder(e.Bytes())
+	d.U8()
+	if off := d.Offset(); off != 1 {
+		t.Fatalf("Offset = %d, want 1", off)
+	}
+	if b := d.Raw(4); !bytes.Equal(b, []byte{1, 2, 3, 4}) {
+		t.Fatalf("Raw(4) = %v", b)
+	}
+	if v := d.U8(); v != 9 || d.Err() != nil {
+		t.Fatalf("read after Raw = %d, %v", v, d.Err())
+	}
+
+	d = NewDecoder(e.Bytes())
+	if b := d.Raw(7); b != nil || d.Err() == nil || !strings.Contains(d.Err().Error(), "need 7 bytes at offset 0, have 6") {
+		t.Fatalf("Raw past the end = %v, %v", b, d.Err())
+	}
+	d = NewDecoder(e.Bytes())
+	if b := d.Raw(-1); b != nil || d.Err() == nil {
+		t.Fatalf("Raw(-1) = %v, %v", b, d.Err())
+	}
+}

@@ -1015,6 +1015,27 @@ func (p *Proc) AdoptWarmState(g *bpred.Gshare, mbs *bpred.MBS, sp *stride.Predic
 	return nil
 }
 
+// LoadWarmState decodes functionally-warmed state straight into a
+// freshly built processor: the sections AdoptWarmState would copy —
+// gshare, MBS, stride, L1I, L1D, L2, L3 — in that order, as their
+// SaveState methods wrote them. It restores a captured sample without
+// a staging copy of the structures. Like AdoptWarmState it is only
+// legal before the first cycle; a decoding failure returns the
+// decoder's latched error.
+func (p *Proc) LoadWarmState(d *ckpt.Decoder) error {
+	if p.cycle != 0 || p.seq != 0 || p.Stats.Committed != 0 {
+		return fmt.Errorf("core: LoadWarmState on a processor that has already run (cycle %d)", p.cycle)
+	}
+	p.bp.LoadState(d)
+	p.mbs.LoadState(d)
+	p.sp.LoadState(d)
+	p.hier.L1I.LoadState(d)
+	p.hier.L1D.LoadState(d)
+	p.hier.L2.LoadState(d)
+	p.hier.L3.LoadState(d)
+	return d.Err()
+}
+
 // InstBytes scales instruction indices to byte addresses the way the
 // fetch stage does; the functional warmer must mirror it so warmed
 // I-cache tags match the addresses detailed fetch will present.

@@ -88,3 +88,79 @@ func TestAdoptWarmStateCopiesExactly(t *testing.T) {
 		t.Error("AdoptWarmState after the first cycle succeeded")
 	}
 }
+
+// TestLoadWarmStateMatchesAdopt: decoding the warm structures straight
+// into a fresh machine leaves it in the same state as adopting them,
+// consumes exactly their sections, latches truncation, and is refused
+// once the machine has run.
+func TestLoadWarmStateMatchesAdopt(t *testing.T) {
+	wl, err := workload.Spec("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(ModeCI)
+	fresh := func() *Proc {
+		p, err := New(cfg, wl.Program, wl.NewMem())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	g := bpred.NewGshare(cfg.GshareEntries)
+	mbs := bpred.NewMBS(cfg.MBSSets, cfg.MBSAssoc)
+	sp := stride.New(cfg.StrideSets, cfg.StrideAssoc)
+	l1i, l1d := cache.New(cfg.Hier.L1I), cache.New(cfg.Hier.L1D)
+	l2, l3 := cache.New(cfg.Hier.L2), cache.New(cfg.Hier.L3)
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 20_000; i++ {
+		pc, addr := uint64(rng.Intn(4096)), uint64(rng.Intn(1<<24))&^7
+		g.Update(pc, rng.Intn(3) == 0)
+		mbs.Update(pc, rng.Intn(3) == 0)
+		sp.Observe(pc, addr)
+		l1i.Access(pc*InstBytes, false)
+		l1d.Access(addr, rng.Intn(4) == 0)
+		l2.Access(addr, false)
+		l3.Access(addr, rng.Intn(4) == 0)
+	}
+	var e ckpt.Encoder
+	for _, save := range []func(*ckpt.Encoder){g.SaveState, mbs.SaveState, sp.SaveState,
+		l1i.SaveState, l1d.SaveState, l2.SaveState, l3.SaveState} {
+		save(&e)
+	}
+
+	adopted := fresh()
+	if err := adopted.AdoptWarmState(g, mbs, sp, l1i, l1d, l2, l3); err != nil {
+		t.Fatal(err)
+	}
+	loaded := fresh()
+	d := ckpt.NewDecoder(e.Bytes())
+	if err := loaded.LoadWarmState(d); err != nil {
+		t.Fatal(err)
+	}
+	if d.Remaining() != 0 {
+		t.Errorf("LoadWarmState left %d bytes undecoded", d.Remaining())
+	}
+	var a, b ckpt.Encoder
+	adopted.hier.SaveState(&a)
+	loaded.hier.SaveState(&b)
+	for _, p := range []struct {
+		p *Proc
+		e *ckpt.Encoder
+	}{{adopted, &a}, {loaded, &b}} {
+		p.p.bp.SaveState(p.e)
+		p.p.mbs.SaveState(p.e)
+		p.p.sp.SaveState(p.e)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("loaded warm state differs from adopted warm state")
+	}
+
+	d = ckpt.NewDecoder(e.Bytes()[:e.Len()-5])
+	if err := fresh().LoadWarmState(d); err == nil || !strings.Contains(err.Error(), "payload truncated") {
+		t.Errorf("truncated warm state: err = %v, want truncation", err)
+	}
+	loaded.Step()
+	if err := loaded.LoadWarmState(ckpt.NewDecoder(e.Bytes())); err == nil {
+		t.Error("LoadWarmState after the first cycle succeeded")
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"civect/internal/core"
 	"civect/internal/emu"
@@ -17,8 +19,9 @@ import (
 // with the emulator's registers and PC (core.SetArchState), runs a
 // configurable detailed warmup to re-heat the microarchitectural
 // structures, then measures the sample interval and discards the
-// machine. The measurements stitch into whole-run estimates weighted by
-// cluster size.
+// machine. Machines are built in plan order and measured concurrently
+// (measureAll). The measurements stitch into whole-run estimates
+// weighted by cluster size.
 
 // MetricNames lists the per-sample metrics, in reporting order. All are
 // rates, so they extrapolate: ipc/cpi per committed instruction,
@@ -104,7 +107,8 @@ func metricsOf(a, b *core.Stats) (uint64, uint64, []float64) {
 // detailed machine configuration (its MaxInstr/MaxCycles are ignored —
 // the plan bounds each sample). warmup is the detailed warmup in
 // instructions before each measured interval. ctx cancels between
-// samples.
+// samples. The emulator keeps fast-forwarding and warming while
+// earlier samples are measured (see measureAll).
 func Run(ctx context.Context, plan *Plan, prog *isa.Program, image *mem.Memory, cfg core.Config, warmup uint64) (*Estimate, error) {
 	if len(plan.Samples) == 0 {
 		return nil, fmt.Errorf("sample: empty plan")
@@ -119,60 +123,126 @@ func Run(ctx context.Context, plan *Plan, prog *isa.Program, image *mem.Memory, 
 	cpu := emu.New(m)
 	w := newWarmer(&cfg)
 
-	est := &Estimate{TotalInstr: plan.TotalInstr}
-	for _, s := range plan.Samples {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	return measureAll(ctx, plan.TotalInstr, plan.Samples, warmup, func(s PlanSample, warmupInstr uint64) (*core.Proc, error) {
+		start := s.Start - warmupInstr
+		for !cpu.Halted && cpu.Executed < start {
+			st := cpu.StepOne(prog)
+			w.observe(&st)
 		}
-		warmStart := uint64(0)
-		if s.Start > warmup {
-			warmStart = s.Start - warmup
-		}
-		for !cpu.Halted && cpu.Executed < warmStart {
-			s := cpu.StepOne(prog)
-			w.observe(&s)
-		}
-		if cpu.Executed != warmStart {
+		if cpu.Executed != start {
 			return nil, fmt.Errorf("sample: stream ended at %d before sample start %d (stale plan?)", cpu.Executed, s.Start)
 		}
-
-		warmupInstr := s.Start - warmStart
-		res, detailed, err := measureSample(prog, cfg, s, warmupInstr, cpu.Mem.Clone(), cpu.Regs, cpu.PC, w)
+		proc, err := newMachine(prog, cfg, s, warmupInstr, cpu.Mem.Clone(), cpu.Regs, cpu.PC)
 		if err != nil {
 			return nil, err
 		}
-		est.DetailedInstr += detailed
-		est.Samples = append(est.Samples, res)
+		// The transplant copies, so the warmer stays with the emulator.
+		if err := w.adoptInto(proc); err != nil {
+			return nil, err
+		}
+		return proc, nil
+	})
+}
+
+// warmStart returns where sample s's detailed warmup begins: warmup
+// instructions before its start, clamped at the stream start.
+func warmStart(s PlanSample, warmup uint64) uint64 {
+	if s.Start > warmup {
+		return s.Start - warmup
+	}
+	return 0
+}
+
+// measureAll is the sampled pipeline Run and RunFromState share. On
+// the calling goroutine it builds each sample's machine in plan order
+// — build fast-forwards or decodes to the sample and returns a machine
+// with its architectural and warm state installed — and hands the
+// machine to a helper goroutine that steps it through warmup and
+// measurement. At most GOMAXPROCS machines are in flight; the producer
+// blocks while all are busy, and with GOMAXPROCS=1 no goroutine starts
+// and every sample is built and measured in turn. Each result lands in
+// its plan slot and stitching runs over the slots in plan order, so
+// the Estimate does not depend on the worker count. The first error
+// (build errors arise in plan order; ctx is checked between samples)
+// stops production, and measureAll returns it once the samples in
+// flight finish. A panic in a helper is re-raised here after they do.
+func measureAll(ctx context.Context, total uint64, samples []PlanSample, warmup uint64, build func(s PlanSample, warmupInstr uint64) (*core.Proc, error)) (*Estimate, error) {
+	est := &Estimate{TotalInstr: total, Samples: make([]SampleResult, len(samples))}
+	detailed := make([]uint64, len(samples))
+	panics := make([]any, len(samples))
+	workers := runtime.GOMAXPROCS(0)
+	slots := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	var err error
+	for i, s := range samples {
+		slots <- struct{}{}
+		if err = ctx.Err(); err != nil {
+			break
+		}
+		warmupInstr := s.Start - warmStart(s, warmup)
+		var proc *core.Proc
+		if proc, err = build(s, warmupInstr); err != nil {
+			break
+		}
+		if workers == 1 {
+			est.Samples[i], detailed[i] = measure(proc, s, warmupInstr)
+			<-slots
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer func() {
+				panics[i] = recover()
+				<-slots
+				wg.Done()
+			}()
+			est.Samples[i], detailed[i] = measure(proc, s, warmupInstr)
+		}()
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	for _, n := range detailed {
+		est.DetailedInstr += n
 	}
 	est.stitch()
 	return est, nil
 }
 
-// measureSample transplants architectural and warm state into a fresh
-// detailed machine, runs the unmeasured detailed warmup, measures the
-// sample interval and returns the measurement plus the detailed
-// instruction count spent. It is the one measurement path: Run feeds it
-// live fast-forward state, RunFromState feeds it state restored from a
-// capture file, and the two must produce identical results.
-func measureSample(prog *isa.Program, cfg core.Config, s PlanSample, warmupInstr uint64, m *mem.Memory, regs [isa.NumLogical]uint64, pc int, w *warmer) (SampleResult, uint64, error) {
-	scfg := cfg
-	scfg.MaxInstr = warmupInstr + s.Len
-	scfg.MaxCycles = 0
-	proc, err := core.New(scfg, prog, m)
+// newMachine is the build step both paths share: a fresh detailed
+// machine over m, bounded to sample s's warmup plus measurement, with
+// the architectural state at the warmup start. The caller installs the
+// warm state.
+func newMachine(prog *isa.Program, cfg core.Config, s PlanSample, warmupInstr uint64, m *mem.Memory, regs [isa.NumLogical]uint64, pc int) (*core.Proc, error) {
+	cfg.MaxInstr = warmupInstr + s.Len
+	cfg.MaxCycles = 0
+	proc, err := core.New(cfg, prog, m)
 	if err != nil {
-		return SampleResult{}, 0, err
+		return nil, err
 	}
 	if err := proc.SetArchState(regs, pc); err != nil {
-		return SampleResult{}, 0, err
+		return nil, err
 	}
-	if err := w.adoptInto(proc); err != nil {
-		return SampleResult{}, 0, err
-	}
+	return proc, nil
+}
+
+// measure is the run step: it steps a built machine through the
+// unmeasured detailed warmup and the sample interval and returns the
+// measurement plus the detailed instruction count spent. Live and
+// restored machines run through it alike, so the two paths produce
+// identical results.
+func measure(proc *core.Proc, s PlanSample, warmupInstr uint64) (SampleResult, uint64) {
 	for !proc.Halted() && proc.Stats.Committed < warmupInstr {
 		proc.Step()
 	}
 	warm := proc.Snapshot()
-	for !proc.Halted() && proc.Stats.Committed < scfg.MaxInstr {
+	for !proc.Halted() && proc.Stats.Committed < warmupInstr+s.Len {
 		proc.Step()
 	}
 	end := proc.Snapshot()
@@ -186,7 +256,7 @@ func measureSample(prog *isa.Program, cfg core.Config, s PlanSample, warmupInstr
 		MeasuredInstr: instr,
 		Cycles:        cycles,
 		Metrics:       metrics,
-	}, end.Committed, nil
+	}, end.Committed
 }
 
 // stitch combines the per-sample metrics into weighted whole-run

@@ -26,9 +26,11 @@ import (
 // in wall-clock, not just in detailed instructions.
 //
 // The contract is bit-identity: RunFromState over a capture must
-// return exactly the Estimate Run would produce live (both funnel into
-// measureSample, and the warm structures round-trip through the same
-// SaveState/LoadState encoding AdoptWarmState uses internally).
+// return exactly the Estimate Run would produce live. Both drive the
+// same pipeline (measureAll, newMachine, measure); where Run copies
+// the live warmer into each machine (core.AdoptWarmState),
+// RunFromState decodes the captured structures straight into it
+// (core.LoadWarmState).
 
 // StateVersion is the CIVK payload version for sample-state files. The
 // CIVK version space is shared across payload kinds — 1 is the
@@ -90,15 +92,12 @@ func CaptureState(ctx context.Context, plan *Plan, prog *isa.Program, image *mem
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		warmStart := uint64(0)
-		if s.Start > warmup {
-			warmStart = s.Start - warmup
-		}
-		for !cpu.Halted && cpu.Executed < warmStart {
+		start := warmStart(s, warmup)
+		for !cpu.Halted && cpu.Executed < start {
 			st := cpu.StepOne(prog)
 			w.observe(&st)
 		}
-		if cpu.Executed != warmStart {
+		if cpu.Executed != start {
 			return nil, fmt.Errorf("sample: stream ended at %d before sample start %d (stale plan?)", cpu.Executed, s.Start)
 		}
 		e.Tag("sample")
@@ -147,8 +146,14 @@ func decodeHeader(data []byte) (*ckpt.Decoder, StateInfo, error) {
 	info.Plan.TotalInstr = d.U64()
 	info.Plan.K = d.Int()
 	info.Warmup = d.U64()
+	// Each plan record is 32 bytes; a count the payload cannot hold is
+	// rejected before it sizes anything.
+	const planRecordBytes = 32
 	n := d.Count()
-	for i := 0; i < n; i++ {
+	if n > d.Remaining()/planRecordBytes {
+		d.Fail("plan of %d samples exceeds the %d bytes remaining", n, d.Remaining())
+	}
+	for i := 0; i < n && d.Err() == nil; i++ {
 		info.Plan.Samples = append(info.Plan.Samples, PlanSample{
 			Interval: d.Int(),
 			Start:    d.U64(),
@@ -188,11 +193,7 @@ func RunFromState(ctx context.Context, data []byte, prog *isa.Program, image *me
 		return nil, err
 	}
 
-	est := &Estimate{TotalInstr: info.Plan.TotalInstr}
-	for _, s := range info.Plan.Samples {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	est, err := measureAll(ctx, info.Plan.TotalInstr, info.Plan.Samples, info.Warmup, func(s PlanSample, warmupInstr uint64) (*core.Proc, error) {
 		d.Tag("sample")
 		pc := d.Int()
 		var regs [isa.NumLogical]uint64
@@ -200,32 +201,23 @@ func RunFromState(ctx context.Context, data []byte, prog *isa.Program, image *me
 			regs[i] = d.U64()
 		}
 		m := mem.LoadDelta(d, image)
-		w := newWarmer(&info.Config)
-		w.g.LoadState(d)
-		w.mbs.LoadState(d)
-		w.sp.LoadState(d)
-		w.l1i.LoadState(d)
-		w.l1d.LoadState(d)
-		w.l2.LoadState(d)
-		w.l3.LoadState(d)
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-
-		warmStart := uint64(0)
-		if s.Start > info.Warmup {
-			warmStart = s.Start - info.Warmup
-		}
-		res, detailed, err := measureSample(prog, info.Config, s, s.Start-warmStart, m, regs, pc, w)
+		proc, err := newMachine(prog, info.Config, s, warmupInstr, m, regs, pc)
 		if err != nil {
 			return nil, err
 		}
-		est.DetailedInstr += detailed
-		est.Samples = append(est.Samples, res)
+		if err := proc.LoadWarmState(d); err != nil {
+			return nil, err
+		}
+		return proc, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if d.Remaining() != 0 {
 		return nil, fmt.Errorf("sample: state file has %d trailing bytes", d.Remaining())
 	}
-	est.stitch()
 	return est, nil
 }
