@@ -3,6 +3,7 @@ package sample
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -167,6 +168,34 @@ func TestCancelMidRunLeavesNoGoroutines(t *testing.T) {
 					t.Errorf("GOMAXPROCS=%d %s: %d goroutines after cancel, %d before", procs, name, n, base)
 				}
 			}
+		})
+	}
+}
+
+// TestHelperPanicKeepsItsStack: a panic while a helper steps a sample
+// is re-raised on the calling goroutine, after the wait, carrying the
+// stack of the helper that panicked rather than measureAll's.
+func TestHelperPanicKeepsItsStack(t *testing.T) {
+	samples := []PlanSample{{Start: 100, Len: 10, Weight: 1}}
+	for _, procs := range []int{1, 2} {
+		withProcs(procs, func() {
+			defer func() {
+				p, ok := recover().(*measurePanic)
+				if !ok {
+					t.Fatalf("GOMAXPROCS=%d: re-raised %T, want *measurePanic", procs, p)
+				}
+				if !strings.Contains(string(p.Stack), "sample.measure(") {
+					t.Errorf("GOMAXPROCS=%d: stack does not reach the helper's measure:\n%s", procs, p.Stack)
+				}
+				if !strings.Contains(fmt.Sprint(p), "nil pointer") {
+					t.Errorf("GOMAXPROCS=%d: panic renders as %q, want the helper's value", procs, fmt.Sprint(p))
+				}
+			}()
+			// A nil machine makes measure dereference nil on the helper.
+			measureAll(context.Background(), 1_000, samples, 0, func(PlanSample, uint64) (*core.Proc, error) {
+				return nil, nil
+			})
+			t.Fatalf("GOMAXPROCS=%d: measureAll returned instead of re-raising", procs)
 		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sync"
 
 	"civect/internal/core"
@@ -158,20 +159,20 @@ func warmStart(s PlanSample, warmup uint64) uint64 {
 // — build fast-forwards or decodes to the sample and returns a machine
 // with its architectural and warm state installed — and hands the
 // machine to a helper goroutine that steps it through warmup and
-// measurement. At most GOMAXPROCS machines are in flight; the producer
-// blocks while all are busy, and with GOMAXPROCS=1 no goroutine starts
-// and every sample is built and measured in turn. Each result lands in
-// its plan slot and stitching runs over the slots in plan order, so
-// the Estimate does not depend on the worker count. The first error
-// (build errors arise in plan order; ctx is checked between samples)
-// stops production, and measureAll returns it once the samples in
-// flight finish. A panic in a helper is re-raised here after they do.
+// measurement. A slot semaphore keeps at most GOMAXPROCS machines in
+// flight and the producer blocks while all are busy, so with
+// GOMAXPROCS=1 each sample is measured before the next is built. Each
+// result lands in its plan slot and stitching runs over the slots in
+// plan order, so the Estimate does not depend on the worker count. The
+// first error (build errors arise in plan order; ctx is checked
+// between samples) stops production, and measureAll returns it once
+// the samples in flight finish. A panic in a helper is re-raised here
+// after they do, as a measurePanic carrying the helper's stack.
 func measureAll(ctx context.Context, total uint64, samples []PlanSample, warmup uint64, build func(s PlanSample, warmupInstr uint64) (*core.Proc, error)) (*Estimate, error) {
 	est := &Estimate{TotalInstr: total, Samples: make([]SampleResult, len(samples))}
 	detailed := make([]uint64, len(samples))
-	panics := make([]any, len(samples))
-	workers := runtime.GOMAXPROCS(0)
-	slots := make(chan struct{}, workers)
+	panics := make([]*measurePanic, len(samples))
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	var err error
 	for i, s := range samples {
@@ -184,15 +185,12 @@ func measureAll(ctx context.Context, total uint64, samples []PlanSample, warmup 
 		if proc, err = build(s, warmupInstr); err != nil {
 			break
 		}
-		if workers == 1 {
-			est.Samples[i], detailed[i] = measure(proc, s, warmupInstr)
-			<-slots
-			continue
-		}
 		wg.Add(1)
 		go func() {
 			defer func() {
-				panics[i] = recover()
+				if v := recover(); v != nil {
+					panics[i] = &measurePanic{Value: v, Stack: debug.Stack()}
+				}
 				<-slots
 				wg.Done()
 			}()
@@ -213,6 +211,18 @@ func measureAll(ctx context.Context, total uint64, samples []PlanSample, warmup 
 	}
 	est.stitch()
 	return est, nil
+}
+
+// measurePanic is what measureAll re-raises when a helper goroutine
+// panicked: the recovered value plus the helper's stack, which the
+// re-panic on the calling goroutine would otherwise lose.
+type measurePanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *measurePanic) String() string {
+	return fmt.Sprintf("%v\n\nsample-measuring goroutine stack:\n%s", p.Value, p.Stack)
 }
 
 // newMachine is the build step both paths share: a fresh detailed

@@ -13,7 +13,9 @@ import (
 // single worker pool of the stack: the experiment harness's memoized
 // sweeps, ciexp's -workers flag and any embedding driver all bound
 // their simulations through one Batch instead of rolling their own
-// semaphores. Safe for concurrent use.
+// semaphores. The bound counts sessions, not CPUs: a sampled session
+// (WithSampling) measures its samples on up to GOMAXPROCS goroutines
+// of its own. Safe for concurrent use.
 type Batch struct {
 	sem     chan struct{}
 	running atomic.Int64
@@ -21,7 +23,7 @@ type Batch struct {
 }
 
 // NewBatch returns a batch running at most workers sessions at once
-// (workers <= 0 uses GOMAXPROCS; 1 fully serializes).
+// (workers <= 0 uses GOMAXPROCS; 1 runs one session at a time).
 func NewBatch(workers int) *Batch {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

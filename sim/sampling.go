@@ -47,7 +47,9 @@ func (sc SamplingConfig) withDefaults() SamplingConfig {
 // budget (WithInstrBudget) bounds the profiled stream (0 profiles to
 // the program's halt — the intended use for the .ultra tier). Sampled
 // sessions cannot be stepped, traced or observed, and cannot write
-// checkpoints.
+// checkpoints. Run measures the samples concurrently, with up to
+// GOMAXPROCS sample machines in flight; the estimate is the same at any
+// GOMAXPROCS.
 func WithSampling(sc SamplingConfig) Option {
 	return func(s *settings) {
 		if sc.Clusters < 0 {
