@@ -1,6 +1,10 @@
-// Package asm implements a small two-pass text assembler for the ISA.
-// It exists so tests and examples can express kernels (like the paper's
-// Figure 1 hammock) readably instead of as instruction literals.
+// Package asm owns program encoding for the ISA. Builder is the typed
+// encoder: one method per instruction form, integer Labels with
+// forward-reference fixups, and a Program call that resolves them and
+// validates the result. The workload generators drive it directly.
+// Assemble is the text front-end over the same Builder, so tests,
+// examples and user kernels (like the paper's Figure 1 hammock) can be
+// written readably instead of as instruction literals.
 //
 // Syntax, one instruction per line:
 //
@@ -29,61 +33,25 @@ import (
 	"civect/internal/isa"
 )
 
-// Assemble translates source into a program. name becomes Program.Name.
+// Assemble translates source into a program named name, in one pass:
+// each line is encoded through a Builder as it is read, a label name
+// becomes a Label when first seen (definition or use), and a numeric
+// target passes through as an absolute index.
 func Assemble(name, source string) (*isa.Program, error) {
-	a := &assembler{labels: make(map[string]int)}
-	lines := strings.Split(source, "\n")
-
-	// Pass 1: record label positions.
-	pc := 0
-	for ln, raw := range lines {
-		text := stripComment(raw)
-		for {
-			text = strings.TrimSpace(text)
-			if text == "" {
-				break
-			}
-			if i := strings.Index(text, ":"); i >= 0 && isLabel(text[:i]) {
-				label := text[:i]
-				if _, dup := a.labels[label]; dup {
-					return nil, fmt.Errorf("asm: line %d: duplicate label %q", ln+1, label)
-				}
-				a.labels[label] = pc
-				text = text[i+1:]
-				continue
-			}
-			pc++
-			break
+	a := &assembler{names: make(map[string]int)}
+	for a.line = 1; source != ""; a.line++ {
+		var line string
+		line, source, _ = strings.Cut(source, "\n")
+		if err := a.assembleLine(line); err != nil {
+			return nil, fmt.Errorf("asm: line %d: %v", a.line, err)
 		}
 	}
-
-	// Pass 2: encode.
-	code := make([]isa.Instr, 0, pc)
-	for ln, raw := range lines {
-		text := stripComment(raw)
-		for {
-			text = strings.TrimSpace(text)
-			if text == "" {
-				break
-			}
-			if i := strings.Index(text, ":"); i >= 0 && isLabel(text[:i]) {
-				text = text[i+1:]
-				continue
-			}
-			in, err := a.encode(text)
-			if err != nil {
-				return nil, fmt.Errorf("asm: line %d: %v", ln+1, err)
-			}
-			code = append(code, in)
-			break
+	for _, s := range a.syms {
+		if !s.defined {
+			return nil, fmt.Errorf("asm: line %d: unknown label or target %q", s.line, s.name)
 		}
 	}
-
-	p := &isa.Program{Name: name, Code: code}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return a.b.Program(name)
 }
 
 // MustAssemble is Assemble that panics on error; for tests and examples
@@ -97,7 +65,64 @@ func MustAssemble(name, source string) *isa.Program {
 }
 
 type assembler struct {
-	labels map[string]int
+	b     Builder
+	names map[string]int // label name -> index in syms
+	syms  []symbol       // in order of first appearance
+	line  int
+	err   error // the current line's first operand error
+}
+
+// symbol is a label name's Label and whether a line has defined it.
+type symbol struct {
+	name    string
+	label   Label
+	defined bool
+	line    int // where it was first seen, for an unknown-label error
+}
+
+// mnemonics maps each opcode's assembly name to the opcode.
+var mnemonics = func() map[string]isa.Op {
+	m := make(map[string]isa.Op)
+	for op := isa.Op(0); op.Valid(); op++ {
+		m[op.String()] = op
+	}
+	return m
+}()
+
+// operands is the operand count of each form's line syntax.
+var operands = [...]int{formNone: 0, formRI: 2, formRR: 2, formRRR: 3, formRRI: 3, formMem: 2, formBranch: 2, formJmp: 1}
+
+func (a *assembler) symbol(name string) *symbol {
+	i, ok := a.names[name]
+	if !ok {
+		i = len(a.syms)
+		a.names[name] = i
+		a.syms = append(a.syms, symbol{name: name, label: a.b.NewLabel(), line: a.line})
+	}
+	return &a.syms[i]
+}
+
+// assembleLine binds the line's label definitions and encodes its
+// instruction, if any.
+func (a *assembler) assembleLine(raw string) error {
+	text := stripComment(raw)
+	for {
+		text = strings.TrimSpace(text)
+		if text == "" {
+			return nil
+		}
+		i := strings.Index(text, ":")
+		if i < 0 || !isLabel(text[:i]) {
+			return a.encode(text)
+		}
+		s := a.symbol(text[:i])
+		if s.defined {
+			return fmt.Errorf("duplicate label %q", s.name)
+		}
+		s.defined = true
+		a.b.Bind(s.label)
+		text = text[i+1:]
+	}
 }
 
 func stripComment(s string) string {
@@ -127,244 +152,118 @@ func isLabel(s string) bool {
 	return true
 }
 
-func (a *assembler) encode(text string) (isa.Instr, error) {
+// encode parses one instruction and hands it to the builder. Operands
+// are parsed left to right and the first bad one is reported; an
+// instruction encoded from a bad line is never used, because the error
+// ends the assembly.
+func (a *assembler) encode(text string) error {
 	fields := strings.Fields(strings.ReplaceAll(text, ",", " "))
 	if len(fields) == 0 {
-		return isa.Instr{}, fmt.Errorf("empty instruction")
+		return fmt.Errorf("empty instruction")
 	}
 	mn := strings.ToLower(fields[0])
-	ops := fields[1:]
-
-	switch mn {
-	case "nop":
-		return expectN(isa.Instr{Op: isa.OpNop}, ops, 0)
-	case "halt":
-		return expectN(isa.Instr{Op: isa.OpHalt}, ops, 0)
-	case "movi":
-		return a.rdImm(isa.OpMovI, ops)
-	case "mov":
-		return a.rdRa(isa.OpMov, ops)
-	case "add", "sub", "mul", "div", "and", "or", "xor", "slt", "seq":
-		return a.rdRaRb(threeRegOp(mn), ops)
-	case "addi", "subi", "shli", "shri", "slti", "seqi":
-		return a.rdRaImm(regImmOp(mn), ops)
-	case "ld":
-		return a.memOp(isa.OpLd, ops)
-	case "st":
-		return a.memOp(isa.OpSt, ops)
-	case "beqz", "bnez":
-		op := isa.OpBEQZ
-		if mn == "bnez" {
-			op = isa.OpBNEZ
+	op, ok := mnemonics[mn]
+	if !ok {
+		return fmt.Errorf("unknown mnemonic %q", mn)
+	}
+	f, ops := formOf(op), fields[1:]
+	if want := operands[f]; len(ops) != want {
+		unit := "operands"
+		if want == 1 {
+			unit = "operand"
 		}
-		if len(ops) != 2 {
-			return isa.Instr{}, fmt.Errorf("%s wants 2 operands", mn)
+		return fmt.Errorf("%s wants %d %s, got %d", op, want, unit, len(ops))
+	}
+
+	a.err = nil
+	switch f {
+	case formNone:
+		if op == isa.OpHalt {
+			a.b.Halt()
+		} else {
+			a.b.Nop()
 		}
-		ra, err := parseReg(ops[0])
-		if err != nil {
-			return isa.Instr{}, err
+	case formRI:
+		a.b.MovI(a.reg(ops[0]), a.imm(ops[1]))
+	case formRR:
+		a.b.Mov(a.reg(ops[0]), a.reg(ops[1]))
+	case formRRR:
+		a.b.Op3(op, a.reg(ops[0]), a.reg(ops[1]), a.reg(ops[2]))
+	case formRRI:
+		a.b.OpI(op, a.reg(ops[0]), a.reg(ops[1]), a.imm(ops[2]))
+	case formMem:
+		r := a.reg(ops[0])
+		disp, base := a.memRef(ops[1])
+		if op == isa.OpLd {
+			a.b.Ld(r, base, disp)
+		} else {
+			a.b.St(r, base, disp)
 		}
-		tgt, err := a.parseTarget(ops[1])
-		if err != nil {
-			return isa.Instr{}, err
-		}
-		return isa.Instr{Op: op, Ra: ra, Target: tgt}, nil
-	case "jmp":
-		if len(ops) != 1 {
-			return isa.Instr{}, fmt.Errorf("jmp wants 1 operand")
-		}
-		tgt, err := a.parseTarget(ops[0])
-		if err != nil {
-			return isa.Instr{}, err
-		}
-		return isa.Instr{Op: isa.OpJmp, Target: tgt}, nil
+	case formBranch:
+		a.b.Branch(op, a.reg(ops[0]), a.target(ops[1]))
+	case formJmp:
+		a.b.Jmp(a.target(ops[0]))
 	}
-	return isa.Instr{}, fmt.Errorf("unknown mnemonic %q", mn)
+	return a.err
 }
 
-func threeRegOp(mn string) isa.Op {
-	switch mn {
-	case "add":
-		return isa.OpAdd
-	case "sub":
-		return isa.OpSub
-	case "mul":
-		return isa.OpMul
-	case "div":
-		return isa.OpDiv
-	case "and":
-		return isa.OpAnd
-	case "or":
-		return isa.OpOr
-	case "xor":
-		return isa.OpXor
-	case "slt":
-		return isa.OpSLT
-	case "seq":
-		return isa.OpSEQ
+// fail keeps the line's first operand error.
+func (a *assembler) fail(err error) {
+	if a.err == nil {
+		a.err = err
 	}
-	return isa.OpNop
 }
 
-func regImmOp(mn string) isa.Op {
-	switch mn {
-	case "addi":
-		return isa.OpAddI
-	case "subi":
-		return isa.OpSubI
-	case "shli":
-		return isa.OpShlI
-	case "shri":
-		return isa.OpShrI
-	case "slti":
-		return isa.OpSLTI
-	case "seqi":
-		return isa.OpSEQI
-	}
-	return isa.OpNop
-}
-
-func expectN(in isa.Instr, ops []string, n int) (isa.Instr, error) {
-	if len(ops) != n {
-		return isa.Instr{}, fmt.Errorf("%s wants %d operands, got %d", in.Op, n, len(ops))
-	}
-	return in, nil
-}
-
-func (a *assembler) rdImm(op isa.Op, ops []string) (isa.Instr, error) {
-	if len(ops) != 2 {
-		return isa.Instr{}, fmt.Errorf("%s wants 2 operands", op)
-	}
-	rd, err := parseReg(ops[0])
-	if err != nil {
-		return isa.Instr{}, err
-	}
-	imm, err := parseImm(ops[1])
-	if err != nil {
-		return isa.Instr{}, err
-	}
-	return isa.Instr{Op: op, Rd: rd, Imm: imm}, nil
-}
-
-func (a *assembler) rdRa(op isa.Op, ops []string) (isa.Instr, error) {
-	if len(ops) != 2 {
-		return isa.Instr{}, fmt.Errorf("%s wants 2 operands", op)
-	}
-	rd, err := parseReg(ops[0])
-	if err != nil {
-		return isa.Instr{}, err
-	}
-	ra, err := parseReg(ops[1])
-	if err != nil {
-		return isa.Instr{}, err
-	}
-	return isa.Instr{Op: op, Rd: rd, Ra: ra}, nil
-}
-
-func (a *assembler) rdRaRb(op isa.Op, ops []string) (isa.Instr, error) {
-	if len(ops) != 3 {
-		return isa.Instr{}, fmt.Errorf("%s wants 3 operands", op)
-	}
-	rd, err := parseReg(ops[0])
-	if err != nil {
-		return isa.Instr{}, err
-	}
-	ra, err := parseReg(ops[1])
-	if err != nil {
-		return isa.Instr{}, err
-	}
-	rb, err := parseReg(ops[2])
-	if err != nil {
-		return isa.Instr{}, err
-	}
-	return isa.Instr{Op: op, Rd: rd, Ra: ra, Rb: rb}, nil
-}
-
-func (a *assembler) rdRaImm(op isa.Op, ops []string) (isa.Instr, error) {
-	if len(ops) != 3 {
-		return isa.Instr{}, fmt.Errorf("%s wants 3 operands", op)
-	}
-	rd, err := parseReg(ops[0])
-	if err != nil {
-		return isa.Instr{}, err
-	}
-	ra, err := parseReg(ops[1])
-	if err != nil {
-		return isa.Instr{}, err
-	}
-	imm, err := parseImm(ops[2])
-	if err != nil {
-		return isa.Instr{}, err
-	}
-	return isa.Instr{Op: op, Rd: rd, Ra: ra, Imm: imm}, nil
-}
-
-// memOp parses "ld rD, disp(rBase)" and "st rSrc, disp(rBase)".
-func (a *assembler) memOp(op isa.Op, ops []string) (isa.Instr, error) {
-	if len(ops) != 2 {
-		return isa.Instr{}, fmt.Errorf("%s wants 2 operands", op)
-	}
-	r, err := parseReg(ops[0])
-	if err != nil {
-		return isa.Instr{}, err
-	}
-	disp, base, err := parseMemRef(ops[1])
-	if err != nil {
-		return isa.Instr{}, err
-	}
-	if op == isa.OpLd {
-		return isa.Instr{Op: op, Rd: r, Ra: base, Imm: disp}, nil
-	}
-	return isa.Instr{Op: op, Rb: r, Ra: base, Imm: disp}, nil
-}
-
-func parseMemRef(s string) (disp int64, base isa.Reg, err error) {
-	open := strings.Index(s, "(")
-	close := strings.Index(s, ")")
-	if open < 0 || close < open {
-		return 0, 0, fmt.Errorf("bad memory operand %q, want disp(reg)", s)
-	}
-	dispStr := s[:open]
-	if dispStr == "" {
-		dispStr = "0"
-	}
-	disp, err = parseImm(dispStr)
-	if err != nil {
-		return 0, 0, err
-	}
-	base, err = parseReg(s[open+1 : close])
-	return disp, base, err
-}
-
-func parseReg(s string) (isa.Reg, error) {
-	s = strings.ToLower(strings.TrimSpace(s))
+func (a *assembler) reg(s string) isa.Reg {
+	s = strings.ToLower(s)
 	if len(s) < 2 || s[0] != 'r' {
-		return 0, fmt.Errorf("bad register %q", s)
+		a.fail(fmt.Errorf("bad register %q", s))
+		return 0
 	}
 	n, err := strconv.Atoi(s[1:])
 	if err != nil || n < 0 || n >= isa.NumLogical {
-		return 0, fmt.Errorf("bad register %q", s)
+		a.fail(fmt.Errorf("bad register %q", s))
+		return 0
 	}
-	return isa.Reg(n), nil
+	return isa.Reg(n)
 }
 
-func parseImm(s string) (int64, error) {
-	s = strings.TrimSpace(s)
+func (a *assembler) imm(s string) int64 {
 	v, err := strconv.ParseInt(s, 0, 64)
 	if err != nil {
-		return 0, fmt.Errorf("bad immediate %q", s)
+		a.fail(fmt.Errorf("bad immediate %q", s))
 	}
-	return v, nil
+	return v
 }
 
-func (a *assembler) parseTarget(s string) (int, error) {
-	s = strings.TrimSpace(s)
-	if pc, ok := a.labels[s]; ok {
-		return pc, nil
+// memRef parses disp(base); an empty disp is 0, and nothing may follow
+// the closing parenthesis.
+func (a *assembler) memRef(s string) (disp int64, base isa.Reg) {
+	dispStr, rest, open := strings.Cut(s, "(")
+	baseStr, tail, closed := strings.Cut(rest, ")")
+	switch {
+	case !open || !closed:
+		a.fail(fmt.Errorf("bad memory operand %q, want disp(reg)", s))
+		return 0, 0
+	case tail != "":
+		a.fail(fmt.Errorf("bad memory operand %q: trailing text %q", s, tail))
+		return 0, 0
+	}
+	if dispStr == "" {
+		dispStr = "0"
+	}
+	return a.imm(dispStr), a.reg(baseStr)
+}
+
+// target resolves a branch operand: a label name (defined anywhere in
+// the source) or an absolute instruction index.
+func (a *assembler) target(s string) Label {
+	if isLabel(s) {
+		return a.symbol(s).label
 	}
 	n, err := strconv.Atoi(s)
 	if err != nil {
-		return 0, fmt.Errorf("unknown label or target %q", s)
+		a.fail(fmt.Errorf("unknown label or target %q", s))
 	}
-	return n, nil
+	return a.b.Abs(n)
 }

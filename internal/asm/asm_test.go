@@ -161,6 +161,10 @@ func TestErrors(t *testing.T) {
 		{"bad memref", "ld r1, r2\nhalt", "bad memory operand"},
 		{"no halt", "nop", "no halt"},
 		{"target out of range", "jmp 99\nhalt", "out of range"},
+		{"unknown label line", "nop\nbeqz r1, gone\njmp gone\nhalt", "line 2: unknown label"},
+		{"duplicate label line", "a: nop\nnop\na: halt", "line 3: duplicate label"},
+		{"junk after memref", "nop\nld r1, 8(r2)junk\nhalt", "line 2: bad memory operand"},
+		{"second memref", "nop\nld r1, 8(r2)(r3)\nhalt", "line 2: bad memory operand"},
 	}
 	for _, tc := range cases {
 		_, err := Assemble(tc.name, tc.src)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"civect/internal/asm"
+	"civect/internal/isa"
 	"civect/internal/mem"
 )
 
@@ -41,73 +42,67 @@ func Random(seed int64) *Benchmark {
 		image.Write64(uint64(dataBase+i*8), uint64(rng.Int63n(1<<16)))
 	}
 
-	reg := func() int { return poolLo + rng.Intn(poolHi-poolLo+1) }
+	reg := func() isa.Reg { return isa.Reg(poolLo + rng.Intn(poolHi-poolLo+1)) }
+	alu := [...]isa.Op{isa.OpAdd, isa.OpSub, isa.OpXor, isa.OpOr, isa.OpAnd}
 
-	var b []string
-	emit := func(format string, args ...any) { b = append(b, fmt.Sprintf(format, args...)) }
-
-	emit("        movi r1, %d", iters)         // loop counter (reserved)
-	emit("        movi r2, %d", dataBase)      // data base (reserved)
-	emit("        movi r3, %d", dataWords*8-1) // offset mask (reserved)
+	var b asm.Builder
+	b.MovI(1, int64(iters))         // loop counter (reserved)
+	b.MovI(2, dataBase)             // data base (reserved)
+	b.MovI(3, int64(dataWords*8-1)) // offset mask (reserved)
 	for r := poolLo; r <= poolHi; r++ {
 		if rng.Intn(2) == 0 {
-			emit("        movi r%d, %d", r, rng.Int63n(1000)-500)
+			b.MovI(isa.Reg(r), rng.Int63n(1000)-500)
 		}
 	}
-	emit("loop:")
-	hammocks := 0
+	loop := b.NewLabel()
+	b.Bind(loop)
 	for i := 0; i < bodyOps; i++ {
 		switch rng.Intn(10) {
 		case 0, 1: // load: address = base + (reg & mask)
 			a, d := reg(), reg()
-			emit("        and  r4, r%d, r3", a)
-			emit("        add  r4, r4, r2")
-			emit("        ld   r%d, 0(r4)", d)
+			b.Op3(isa.OpAnd, 4, a, 3)
+			b.Op3(isa.OpAdd, 4, 4, 2)
+			b.Ld(d, 4, 0)
 		case 2: // store
 			a, s := reg(), reg()
-			emit("        and  r4, r%d, r3", a)
-			emit("        add  r4, r4, r2")
-			emit("        st   r%d, 0(r4)", s)
+			b.Op3(isa.OpAnd, 4, a, 3)
+			b.Op3(isa.OpAdd, 4, 4, 2)
+			b.St(s, 4, 0)
 		case 3: // hammock
 			c := reg()
-			h := hammocks
-			hammocks++
 			thenR, elseR := reg(), reg()
-			emit("        bnez r%d, rh%de", c, h)
-			emit("        addi r%d, r%d, %d", thenR, thenR, rng.Intn(9)+1)
-			emit("        jmp  rh%dj", h)
-			emit("rh%de:", h)
-			emit("        subi r%d, r%d, %d", elseR, elseR, rng.Intn(9)+1)
-			emit("rh%dj:", h)
+			els, join := b.NewLabel(), b.NewLabel()
+			b.Branch(isa.OpBNEZ, c, els)
+			b.OpI(isa.OpAddI, thenR, thenR, int64(rng.Intn(9)+1))
+			b.Jmp(join)
+			b.Bind(els)
+			b.OpI(isa.OpSubI, elseR, elseR, int64(rng.Intn(9)+1))
+			b.Bind(join)
 		case 4:
 			d, a := reg(), reg()
-			emit("        mul  r%d, r%d, r%d", d, a, reg())
+			b.Op3(isa.OpMul, d, a, reg())
 		case 5:
 			d, a := reg(), reg()
-			emit("        div  r%d, r%d, r%d", d, a, reg())
+			b.Op3(isa.OpDiv, d, a, reg())
 		case 6:
 			d, a := reg(), reg()
-			emit("        slt  r%d, r%d, r%d", d, a, reg())
+			b.Op3(isa.OpSLT, d, a, reg())
 		case 7:
 			d, a := reg(), reg()
-			emit("        shri r%d, r%d, %d", d, a, rng.Intn(8))
+			b.OpI(isa.OpShrI, d, a, int64(rng.Intn(8)))
 		default:
 			d, a := reg(), reg()
-			ops := []string{"add", "sub", "xor", "or", "and"}
-			emit("        %s  r%d, r%d, r%d", ops[rng.Intn(len(ops))], d, a, reg())
+			op := alu[rng.Intn(len(alu))]
+			b.Op3(op, d, a, reg())
 		}
 	}
-	emit("        subi r1, r1, 1")
-	emit("        bnez r1, loop")
-	emit("        halt")
+	b.OpI(isa.OpSubI, 1, 1, 1)
+	b.Branch(isa.OpBNEZ, 1, loop)
+	b.Halt()
 
-	src := ""
-	for _, line := range b {
-		src += line + "\n"
-	}
-	prog, err := asm.Assemble(fmt.Sprintf("random-%d", seed), src)
+	prog, err := b.Program(fmt.Sprintf("random-%d", seed))
 	if err != nil {
-		panic(fmt.Sprintf("workload: random program invalid: %v\n%s", err, src))
+		panic(fmt.Sprintf("workload: random program invalid: %v", err))
 	}
 	image.Freeze()
 	return &Benchmark{

@@ -113,23 +113,24 @@ func ultraParams(p Params) Params {
 // the emulator, and provision epochs to clear ultraTargetInstr with a
 // 25% margin (epochs are not perfectly identical in dynamic length —
 // StoreIntoStream tunings overwrite value-stream words that steer
-// later hammocks, shifting arm lengths between epochs).
-func ultraEpochs(p Params) (int, error) {
+// later hammocks, shifting arm lengths between epochs). It returns the
+// probe too: its image is the full-length program's image.
+func ultraEpochs(p Params) (int, *Benchmark, error) {
 	probe := p
 	probe.Epochs = 1
 	b, err := Generate(probe)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	cpu := emu.New(b.NewMem())
 	if err := cpu.Run(b.Program, 0); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	if cpu.Executed == 0 {
-		return 0, fmt.Errorf("workload %s: empty probe epoch", p.Name)
+		return 0, nil, fmt.Errorf("workload %s: empty probe epoch", p.Name)
 	}
 	want := uint64(ultraTargetInstr + ultraTargetInstr/4)
-	return int((want + cpu.Executed - 1) / cpu.Executed), nil
+	return int((want + cpu.Executed - 1) / cpu.Executed), b, nil
 }
 
 // Names returns the benchmark names in SpecInt2000's customary order.
@@ -188,11 +189,19 @@ func Spec(name string) (*Benchmark, error) {
 		return nil, errUnknown(name)
 	}
 	if strings.HasSuffix(name, UltraSuffix) && p.Epochs == 0 {
-		n, err := ultraEpochs(p)
+		n, probe, err := ultraEpochs(p)
 		if err != nil {
 			return nil, err
 		}
+		// The image does not depend on Epochs: keep the probe's frozen
+		// image and rebuild only the program.
+		p = probe.Params
 		p.Epochs = n
+		prog, err := p.program()
+		if err != nil {
+			return nil, err
+		}
+		return &Benchmark{Params: p, Program: prog, image: probe.image}, nil
 	}
 	return Generate(p)
 }

@@ -17,7 +17,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"civect/internal/asm"
 	"civect/internal/isa"
@@ -193,6 +192,16 @@ func Generate(p Params) (*Benchmark, error) {
 		}
 	}
 
+	prog, err := p.program()
+	if err != nil {
+		return nil, err
+	}
+	return &Benchmark{Params: p, Program: prog, image: p.image()}, nil
+}
+
+// image fills and freezes the benchmark's initial data image. It does
+// not depend on Epochs or Unroll, only on the data layout and Seed.
+func (p Params) image() *mem.Memory {
 	rng := rand.New(rand.NewSource(p.Seed))
 	image := mem.New()
 
@@ -237,14 +246,8 @@ func Generate(p Params) (*Benchmark, error) {
 			image.Write64(uint64(chaseBase+from*8), uint64(chaseBase+to*8))
 		}
 	}
-
-	src := p.emitSource()
-	prog, err := asm.Assemble(p.Name, src)
-	if err != nil {
-		return nil, fmt.Errorf("workload %s: %v\nsource:\n%s", p.Name, err, src)
-	}
 	image.Freeze()
-	return &Benchmark{Params: p, Program: prog, image: image}, nil
+	return image
 }
 
 // MustGenerate is Generate that panics on error (parameter tables are
@@ -257,13 +260,11 @@ func MustGenerate(p Params) *Benchmark {
 	return b
 }
 
-// bodyLayout parameterizes one emitted copy of the loop body: the
-// label prefix that keeps its hammock/store labels unique, and the
-// data-block addresses it embeds as immediates. The base tier uses one
-// copy over the classic layout; the big tier emits Phases×Unroll
-// copies, each phase over its own block.
+// bodyLayout parameterizes one copy of the loop body: the data-block
+// addresses it embeds as immediates. The base tier builds one copy over
+// the classic layout; the big tier builds Phases×Unroll copies, each
+// phase over its own block.
 type bodyLayout struct {
-	lbl        string
 	streamBase func(s int) int
 	armBase    int
 	storeDisp  int
@@ -271,271 +272,260 @@ type bodyLayout struct {
 
 func baseLayout() bodyLayout {
 	return bodyLayout{
-		lbl:        "",
 		streamBase: func(s int) int { return streamBase + s*streamSpace },
 		armBase:    streamBase + 8*streamSpace,
 		storeDisp:  storeBase - streamBase,
 	}
 }
 
-func bigLayout(ph int, u int) bodyLayout {
+func bigLayout(ph int) bodyLayout {
 	base := bigPhaseBase(ph)
 	return bodyLayout{
-		lbl:        fmt.Sprintf("p%du%d", ph, u),
 		streamBase: func(s int) int { return base + s*bigStreamSpace },
 		armBase:    base + bigArmSlot*bigStreamSpace,
 		storeDisp:  bigStoreSlot * bigStreamSpace,
 	}
 }
 
-// emitSource renders the benchmark's assembly.
-func (p Params) emitSource() string {
+// program builds the benchmark's code.
+func (p Params) program() (*isa.Program, error) {
+	var b asm.Builder
 	if p.Phases > 1 {
-		return p.emitBigSource()
+		p.buildBig(&b)
+	} else {
+		p.buildBase(&b)
 	}
-	var b strings.Builder
-	w := func(format string, args ...any) {
-		fmt.Fprintf(&b, format+"\n", args...)
+	prog, err := b.Program(p.Name)
+	if err != nil {
+		return nil, fmt.Errorf("workload %s: %v", p.Name, err)
 	}
-
-	w("; synthetic %s: streams=%d hammocks=%d bias=%.2f ci=%d fill=%d chase=%v",
-		p.Name, p.Streams, p.Hammocks, p.TakenBias, p.CIOps, p.FillerOps, p.PointerChase)
-	w("        movi r%d, %d", rCount, p.Iters)
-	w("        movi r%d, %d", rMask, (p.ArrayWords*8)-1)
-	for s := 0; s < p.Streams; s++ {
-		w("        movi r%d, %d", rPtr0+s, streamBase+s*streamSpace)
-	}
-	if p.PointerChase {
-		w("        movi r%d, %d", rChase, chaseBase)
-	}
-	if p.Gathers > 0 {
-		w("        movi r%d, %d", rGBase, streamBase)
-	}
-	if p.ArmLoads > 0 {
-		w("        movi r%d, %d", rArmPtr, streamBase+8*streamSpace)
-	}
-	w("loop:")
-	p.emitBody(w, baseLayout())
-	w("        subi r%d, r%d, 1", rCount, rCount)
-	w("        bnez r%d, loop", rCount)
-	w("        halt")
-	return b.String()
+	return prog, nil
 }
 
-// emitBigSource renders the megabyte-scale tier: an outer epoch loop
-// over Phases distinct copies of the kernel, each phase an inner loop
-// of Unroll body copies over its own 2MB data block. The multi-level
+// buildBase builds the classic single-phase shape: set-up, one loop of
+// one body copy, halt.
+func (p Params) buildBase(b *asm.Builder) {
+	b.MovI(rCount, int64(p.Iters))
+	b.MovI(rMask, int64(p.ArrayWords*8-1))
+	for s := 0; s < p.Streams; s++ {
+		b.MovI(isa.Reg(rPtr0+s), int64(streamBase+s*streamSpace))
+	}
+	if p.PointerChase {
+		b.MovI(rChase, chaseBase)
+	}
+	if p.Gathers > 0 {
+		b.MovI(rGBase, streamBase)
+	}
+	if p.ArmLoads > 0 {
+		b.MovI(rArmPtr, streamBase+8*streamSpace)
+	}
+	loop := b.NewLabel()
+	b.Bind(loop)
+	p.emitBody(b, baseLayout())
+	b.OpI(isa.OpSubI, rCount, rCount, 1)
+	b.Branch(isa.OpBNEZ, rCount, loop)
+	b.Halt()
+}
+
+// buildBig builds the megabyte-scale tier: an outer epoch loop over
+// Phases distinct copies of the kernel, each phase an inner loop of
+// Unroll body copies over its own 2MB data block. The multi-level
 // structure (epoch loop → per-phase loops → unrolled hammock bodies)
 // stands in for the call trees of real binaries — the ISA has direct
 // branches only, so "calls" are fully inlined phase bodies.
-func (p Params) emitBigSource() string {
-	var b strings.Builder
-	b.Grow(64 * bigStaticTarget)
-	w := func(format string, args ...any) {
-		fmt.Fprintf(&b, format+"\n", args...)
-	}
-
-	w("; synthetic %s (big tier): phases=%d unroll=%d iters=%d epochs=%d streams=%d hammocks=%d bias=%.2f",
-		p.Name, p.Phases, p.Unroll, p.Iters, p.Epochs, p.Streams, p.Hammocks, p.TakenBias)
-	w("        movi r%d, %d", rEpoch, p.Epochs)
-	w("        movi r%d, %d", rMask, (p.ArrayWords*8)-1)
+func (p Params) buildBig(b *asm.Builder) {
+	b.MovI(rEpoch, int64(p.Epochs))
+	b.MovI(rMask, int64(p.ArrayWords*8-1))
 	if p.PointerChase {
-		w("        movi r%d, %d", rChase, chaseBase)
+		b.MovI(rChase, chaseBase)
 	}
 	// Pad even-length body copies to an odd instruction count: the MBS,
 	// stride and SRSMT tables are set-indexed by PC, and identical-length
 	// copies whose length shares a factor with the power-of-two set
 	// counts would alias the same few sets, starving the predictors in a
 	// way no real instruction mix does.
-	pad := p.bodyInstrs()%2 == 0
-	w("epoch:")
+	pad := p.bodyLen()%2 == 0
+	epoch := b.NewLabel()
+	b.Bind(epoch)
 	for ph := 0; ph < p.Phases; ph++ {
-		lay := bigLayout(ph, 0)
-		w("        movi r%d, %d", rCount, p.Iters)
+		lay := bigLayout(ph)
+		b.MovI(rCount, int64(p.Iters))
 		for s := 0; s < p.Streams; s++ {
-			w("        movi r%d, %d", rPtr0+s, lay.streamBase(s))
+			b.MovI(isa.Reg(rPtr0+s), int64(lay.streamBase(s)))
 		}
 		if p.Gathers > 0 {
-			w("        movi r%d, %d", rGBase, lay.streamBase(0))
+			b.MovI(rGBase, int64(lay.streamBase(0)))
 		}
 		if p.ArmLoads > 0 {
-			w("        movi r%d, %d", rArmPtr, lay.armBase)
+			b.MovI(rArmPtr, int64(lay.armBase))
 		}
-		w("p%dloop:", ph)
+		loop := b.NewLabel()
+		b.Bind(loop)
 		for u := 0; u < p.Unroll; u++ {
-			p.emitBody(w, bigLayout(ph, u))
+			p.emitBody(b, lay)
 			if pad {
-				w("        nop")
+				b.Nop()
 			}
 		}
-		w("        subi r%d, r%d, 1", rCount, rCount)
-		w("        bnez r%d, p%dloop", rCount, ph)
+		b.OpI(isa.OpSubI, rCount, rCount, 1)
+		b.Branch(isa.OpBNEZ, rCount, loop)
 	}
-	w("        subi r%d, r%d, 1", rEpoch, rEpoch)
-	w("        bnez r%d, epoch", rEpoch)
-	w("        halt")
-	return b.String()
+	b.OpI(isa.OpSubI, rEpoch, rEpoch, 1)
+	b.Branch(isa.OpBNEZ, rEpoch, epoch)
+	b.Halt()
 }
 
-// bodyInstrs returns the instruction count of one body copy, by
-// emitting it once and counting instruction lines (instructions are
-// indented; labels are not, and bodies contain no comments).
-func (p Params) bodyInstrs() int {
-	var b strings.Builder
-	w := func(format string, args ...any) {
-		fmt.Fprintf(&b, format+"\n", args...)
-	}
-	p.emitBody(w, bigLayout(0, 0))
-	body := 0
-	for _, line := range strings.Split(b.String(), "\n") {
-		if strings.HasPrefix(line, "        ") {
-			body++
-		}
-	}
-	return body
+// bodyLen returns the instruction count of one body copy, read off a
+// throwaway build of it (every copy has the same length; only its
+// immediates depend on the layout).
+func (p Params) bodyLen() int {
+	var b asm.Builder
+	p.emitBody(&b, bigLayout(0))
+	return b.Len()
 }
 
 // sizedUnroll picks the body replication factor that pushes the big
 // tier past bigStaticTarget static instructions.
 func (p Params) sizedUnroll() int {
-	body := p.bodyInstrs()
+	body := p.bodyLen()
 	if body%2 == 0 {
-		body++ // the nop pad emitBigSource adds
+		body++ // the nop pad buildBig adds
 	}
 	per := p.Phases * body
 	return (bigStaticTarget + per - 1) / per
 }
 
-// emitBody renders one copy of the per-iteration loop body over lay:
+// emitBody builds one copy of the per-iteration loop body over lay:
 // strided loads, hammocks with their control-independent regions,
-// gathers, filler ILP, stores, and the stream-pointer advances.
-func (p Params) emitBody(w func(string, ...any), lay bodyLayout) {
+// gathers, filler ILP, stores, and the stream-pointer advances. Each
+// copy allocates its own labels.
+func (p Params) emitBody(b *asm.Builder, lay bodyLayout) {
 	// Strided loads, one per stream.
 	for s := 0; s < p.Streams; s++ {
-		w("        ld   r%d, 0(r%d)", rValBase+s, rPtr0+s)
+		b.Ld(isa.Reg(rValBase+s), isa.Reg(rPtr0+s), 0)
 	}
 	if p.PointerChase {
-		w("        ld   r%d, 0(r%d)", rChase, rChase) // dependent chain
+		b.Ld(rChase, rChase, 0) // dependent chain
 	}
 
 	// Hammocks: branch on the steering word (stream 0), perturbed per
 	// hammock so multiple hammocks do not alias perfectly.
 	for h := 0; h < p.Hammocks; h++ {
-		cond := rValBase // steering value
+		var cond isa.Reg = rValBase // steering value
 		if h > 0 {
 			// Derive a different condition from the same data.
-			w("        shri r%d, r%d, %d", rTmp, rValBase+(h%p.Streams), h)
-			w("        and  r%d, r%d, r%d", rTmp, rTmp, rValBase)
+			b.OpI(isa.OpShrI, rTmp, isa.Reg(rValBase+(h%p.Streams)), int64(h))
+			b.Op3(isa.OpAnd, rTmp, rTmp, rValBase)
 			cond = rTmp
 		}
 		armOps := p.ArmOps
 		if armOps <= 0 {
 			armOps = 2
 		}
-		w("        bnez r%d, %sh%delse", cond, lay.lbl, h)
+		els, join := b.NewLabel(), b.NewLabel()
+		b.Branch(isa.OpBNEZ, cond, els)
 		// then arm: control-dependent writes (never reusable).
 		if h == 0 && p.ArmLoads > 0 {
 			// A strided load living inside the arm: perfectly strided
 			// on its own dynamic instances, consumed only here.
-			w("        ld   r%d, 0(r%d)", rArmVal, rArmPtr)
-			w("        addi r%d, r%d, 8", rArmPtr, rArmPtr)
-			w("        and  r%d, r%d, r%d", rArmTmp, rArmPtr, rMask)
-			w("        movi r%d, %d", rArmTmp+1, lay.armBase)
-			w("        add  r%d, r%d, r%d", rArmPtr, rArmTmp+1, rArmTmp)
-			w("        add  r%d, r%d, r%d", rArmVal+1, rArmVal+1, rArmVal)
+			b.Ld(rArmVal, rArmPtr, 0)
+			b.OpI(isa.OpAddI, rArmPtr, rArmPtr, 8)
+			b.Op3(isa.OpAnd, rArmTmp, rArmPtr, rMask)
+			b.MovI(rArmTmp+1, int64(lay.armBase))
+			b.Op3(isa.OpAdd, rArmPtr, rArmTmp+1, rArmTmp)
+			b.Op3(isa.OpAdd, rArmVal+1, rArmVal+1, rArmVal)
 		}
 		for a := 0; a < armOps; a++ {
-			r := rArm + a%3
+			r := isa.Reg(rArm + a%3)
 			switch a % 3 {
 			case 0:
-				w("        addi r%d, r%d, 1", r, r)
+				b.OpI(isa.OpAddI, r, r, 1)
 			case 1:
-				w("        xor  r%d, r%d, r%d", r, r, rValBase)
+				b.Op3(isa.OpXor, r, r, rValBase)
 			case 2:
-				w("        add  r%d, r%d, r%d", r, r, rArm)
+				b.Op3(isa.OpAdd, r, r, rArm)
 			}
 		}
-		w("        jmp  %sh%djoin", lay.lbl, h)
-		w("%sh%delse:", lay.lbl, h)
+		b.Jmp(join)
+		b.Bind(els)
 		// else arm, slightly lighter.
 		for a := 0; a < (armOps+1)/2; a++ {
-			r := rArm + 3 + a%2
-			w("        subi r%d, r%d, %d", r, r, a+1)
+			r := isa.Reg(rArm + 3 + a%2)
+			b.OpI(isa.OpSubI, r, r, int64(a+1))
 		}
-		w("%sh%djoin:", lay.lbl, h)
+		b.Bind(join)
 		// Control-independent region: accumulate strided-load values.
 		for c := 0; c < p.CIOps; c++ {
-			val := rValBase + 1 + (c % max(1, p.Streams-1))
+			val := isa.Reg(rValBase + 1 + (c % max(1, p.Streams-1)))
 			if p.Streams == 1 {
 				val = rValBase
 			}
-			acc := rAccBase + (h*p.CIOps+c)%12
-			switch c % 3 {
-			case 0:
-				w("        add  r%d, r%d, r%d", acc, acc, val)
-			case 1:
-				w("        xor  r%d, r%d, r%d", acc, acc, val)
-			case 2:
-				w("        add  r%d, r%d, r%d", acc, acc, val)
+			acc := isa.Reg(rAccBase + (h*p.CIOps+c)%12)
+			op := isa.OpAdd
+			if c%3 == 1 {
+				op = isa.OpXor
 			}
+			b.Op3(op, acc, acc, val)
 		}
 	}
 
 	// Gather loads: address = streamBase + (value & mask); the index
 	// register is data-dependent, so the access pattern is irregular.
 	for g := 0; g < p.Gathers; g++ {
-		val := rValBase + g%p.Streams
-		w("        and  r%d, r%d, r%d", rTmp+3, val, rMask)
-		w("        add  r%d, r%d, r%d", rTmp+3, rTmp+3, rGBase)
-		w("        ld   r%d, 0(r%d)", rGather+g%2, rTmp+3)
-		w("        add  r%d, r%d, r%d", rAccBase+12+g%2, rAccBase+12+g%2, rGather+g%2)
+		val := isa.Reg(rValBase + g%p.Streams)
+		b.Op3(isa.OpAnd, rTmp+3, val, rMask)
+		b.Op3(isa.OpAdd, rTmp+3, rTmp+3, rGBase)
+		b.Ld(isa.Reg(rGather+g%2), rTmp+3, 0)
+		b.Op3(isa.OpAdd, isa.Reg(rAccBase+12+g%2), isa.Reg(rAccBase+12+g%2), isa.Reg(rGather+g%2))
 	}
 
 	// Filler ILP: independent chains not fed by loads.
 	for f := 0; f < p.FillerOps; f++ {
-		ra := rFill + f%8
-		rb := rFill + (f+3)%8
+		ra := isa.Reg(rFill + f%8)
+		rb := isa.Reg(rFill + (f+3)%8)
 		switch f % 4 {
 		case 0:
-			w("        addi r%d, r%d, %d", ra, ra, f+1)
+			b.OpI(isa.OpAddI, ra, ra, int64(f+1))
 		case 1:
-			w("        xor  r%d, r%d, r%d", ra, ra, rb)
+			b.Op3(isa.OpXor, ra, ra, rb)
 		case 2:
-			w("        add  r%d, r%d, r%d", ra, ra, rb)
+			b.Op3(isa.OpAdd, ra, ra, rb)
 		case 3:
-			w("        shli r%d, r%d, 1", ra, ra)
+			b.OpI(isa.OpShlI, ra, ra, 1)
 		}
 	}
 
 	// Stores. The regular store goes to the disjoint store region;
 	// StoreEvery > 1 (a power of two) gates it to every k-th iteration.
 	if p.StoreEvery == 1 {
-		w("        st   r%d, %d(r%d)", rAccBase, lay.storeDisp, rPtr0)
+		b.St(rAccBase, rPtr0, int64(lay.storeDisp))
 	} else if p.StoreEvery > 1 {
-		w("        movi r%d, %d", rTmp+1, p.StoreEvery-1)
-		w("        and  r%d, r%d, r%d", rTmp, rCount, rTmp+1)
-		w("        bnez r%d, %snostore", rTmp, lay.lbl)
-		w("        st   r%d, %d(r%d)", rAccBase, lay.storeDisp, rPtr0)
-		w("%snostore:", lay.lbl)
+		skip := b.NewLabel()
+		b.MovI(rTmp+1, int64(p.StoreEvery-1))
+		b.Op3(isa.OpAnd, rTmp, rCount, rTmp+1)
+		b.Branch(isa.OpBNEZ, rTmp, skip)
+		b.St(rAccBase, rPtr0, int64(lay.storeDisp))
+		b.Bind(skip)
 	}
 	if p.StoreIntoStream && p.Streams > 1 {
 		// Every 64th iteration, additionally store three words ahead of
 		// a value stream's read pointer — inside the window its replica
 		// batch is prefetching, which trips the §2.4.3 coherence check
 		// for a small fraction of stores.
-		w("        movi r%d, 63", rTmp+1)
-		w("        and  r%d, r%d, r%d", rTmp, rCount, rTmp+1)
-		w("        bnez r%d, %snostream", rTmp, lay.lbl)
-		w("        st   r%d, 24(r%d)", rAccBase, rPtr0+1)
-		w("%snostream:", lay.lbl)
+		skip := b.NewLabel()
+		b.MovI(rTmp+1, 63)
+		b.Op3(isa.OpAnd, rTmp, rCount, rTmp+1)
+		b.Branch(isa.OpBNEZ, rTmp, skip)
+		b.St(rAccBase, rPtr0+1, 24)
+		b.Bind(skip)
 	}
 
 	// Advance the stream pointers (unit stride, wrapped to the array).
 	for s := 0; s < p.Streams; s++ {
-		w("        addi r%d, r%d, 8", rPtr0+s, rPtr0+s)
-		w("        and  r%d, r%d, r%d", rTmp+1, rPtr0+s, rMask)
-		w("        movi r%d, %d", rTmp+2, lay.streamBase(s))
-		w("        add  r%d, r%d, r%d", rPtr0+s, rTmp+2, rTmp+1)
+		b.OpI(isa.OpAddI, isa.Reg(rPtr0+s), isa.Reg(rPtr0+s), 8)
+		b.Op3(isa.OpAnd, rTmp+1, isa.Reg(rPtr0+s), rMask)
+		b.MovI(rTmp+2, int64(lay.streamBase(s)))
+		b.Op3(isa.OpAdd, isa.Reg(rPtr0+s), rTmp+2, rTmp+1)
 	}
 }
 
