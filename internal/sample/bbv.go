@@ -16,6 +16,8 @@ package sample
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"civect/internal/emu"
 	"civect/internal/isa"
@@ -94,43 +96,76 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// projectSign returns the ±1 projection weight of block b on dim d.
-func projectSign(b, d int) float64 {
-	if splitmix64(uint64(b)<<32|uint64(d))&1 == 0 {
-		return 1
+// signMask returns block b's projection signs as a bit mask over the
+// Dims dimensions: bit d set means the block's weight on dimension d is
+// -1, clear means +1. (Dims fits a uint64.)
+func signMask(b int) uint64 {
+	var m uint64
+	for d := 0; d < Dims; d++ {
+		m |= (splitmix64(uint64(b)<<32|uint64(d)) & 1) << d
 	}
-	return -1
+	return m
 }
 
-// Profiler accumulates the current interval's raw block counts and
-// flushes them as projected vectors at each boundary.
+// profiler accumulates the current interval's raw block counts and
+// flushes them as projected vectors at each boundary. A *profiler is
+// Collect's emu.Walk observer.
 type profiler struct {
-	cfg     Config
 	blockOf []int
 	counts  []uint64 // raw instr-weighted block counts, current interval
-	inIntvl uint64   // instructions in the current interval
-	out     Profile
+	touched []uint64 // bitset of the blocks counts holds non-zero
+	signs   []uint64 // per-block projection sign masks (signMask)
 }
 
-func (pr *profiler) flush() {
-	if pr.inIntvl == 0 {
-		return
+// newProfiler builds a profiler over prog's basic blocks.
+func newProfiler(prog *isa.Program) *profiler {
+	blockOf, numBlocks := blockLeaders(prog)
+	pr := &profiler{
+		blockOf: blockOf,
+		counts:  make([]uint64, numBlocks),
+		touched: make([]uint64, (numBlocks+63)/64),
+		signs:   make([]uint64, numBlocks),
 	}
+	for b := range pr.signs {
+		pr.signs[b] = signMask(b)
+	}
+	return pr
+}
+
+// Observe counts one executed instruction against its block.
+//
+//civet:hotpath
+func (pr *profiler) Observe(pc int, _ isa.Instr, _, _ uint64, _ bool) {
+	b := pr.blockOf[pc]
+	pr.counts[b]++
+	pr.touched[b>>6] |= 1 << (b & 63)
+}
+
+// flush projects the current interval's counts over n instructions
+// into one length-normalized vector and clears them. Touched blocks are
+// visited in ascending order, so every dimension sums in the same order
+// as a scan over all blocks would, and adding w with its sign bit
+// flipped is exactly adding w times a -1 weight: the vectors are
+// bit-identical to the dense projection.
+//
+//civet:hotpath
+func (pr *profiler) flush(n uint64) [Dims]float64 {
 	var v [Dims]float64
-	norm := 1 / float64(pr.inIntvl)
-	for b, c := range pr.counts {
-		if c == 0 {
-			continue
+	norm := 1 / float64(n)
+	for i, word := range pr.touched {
+		for word != 0 {
+			b := i<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			w := math.Float64bits(float64(pr.counts[b]) * norm)
+			m := pr.signs[b]
+			for d := range v {
+				v[d] += math.Float64frombits(w ^ (m>>d&1)<<63)
+			}
+			pr.counts[b] = 0
 		}
-		w := float64(c) * norm
-		for d := 0; d < Dims; d++ {
-			v[d] += w * projectSign(b, d)
-		}
-		pr.counts[b] = 0
+		pr.touched[i] = 0
 	}
-	pr.out.Vectors = append(pr.out.Vectors, v)
-	pr.out.Lengths = append(pr.out.Lengths, pr.inIntvl)
-	pr.inIntvl = 0
+	return v
 }
 
 // Collect runs the functional emulator over the workload and returns
@@ -139,34 +174,30 @@ func Collect(prog *isa.Program, image *mem.Memory, cfg Config) (*Profile, error)
 	if cfg.IntervalLen == 0 {
 		return nil, fmt.Errorf("sample: interval length must be positive")
 	}
-	blockOf, numBlocks := blockLeaders(prog)
-	pr := &profiler{
-		cfg:     cfg,
-		blockOf: blockOf,
-		counts:  make([]uint64, numBlocks),
-		out:     Profile{IntervalLen: cfg.IntervalLen, NumBlocks: numBlocks},
-	}
+	pr := newProfiler(prog)
+	out := &Profile{IntervalLen: cfg.IntervalLen, NumBlocks: len(pr.counts)}
 	var m *mem.Memory
 	if image != nil {
 		m = image.Clone()
 	}
 	cpu := emu.New(m)
-	for !cpu.Halted {
-		if cfg.MaxInstr > 0 && cpu.Executed >= cfg.MaxInstr {
-			break
+	// Walk one interval at a time: intervals start at multiples of
+	// IntervalLen, and the last one ends at the halt or at MaxInstr.
+	for !cpu.Halted && (cfg.MaxInstr == 0 || cpu.Executed < cfg.MaxInstr) {
+		start := cpu.Executed
+		end := start + cfg.IntervalLen
+		if cfg.MaxInstr > 0 && end > cfg.MaxInstr {
+			end = cfg.MaxInstr
 		}
-		pc := cpu.PC
-		cpu.StepOne(prog)
-		pr.counts[blockOf[pc]]++
-		pr.inIntvl++
-		if pr.inIntvl == cfg.IntervalLen {
-			pr.flush()
-		}
+		// Walk fails only with ErrLimit, which is the interval's end.
+		_ = emu.Walk(cpu, prog, end, pr)
+		n := cpu.Executed - start
+		out.Vectors = append(out.Vectors, pr.flush(n))
+		out.Lengths = append(out.Lengths, n)
 	}
-	pr.flush()
-	pr.out.TotalInstr = cpu.Executed
-	if len(pr.out.Vectors) == 0 {
+	out.TotalInstr = cpu.Executed
+	if len(out.Vectors) == 0 {
 		return nil, fmt.Errorf("sample: workload executed no instructions")
 	}
-	return &pr.out, nil
+	return out, nil
 }

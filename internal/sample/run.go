@@ -125,13 +125,8 @@ func Run(ctx context.Context, plan *Plan, prog *isa.Program, image *mem.Memory, 
 	w := newWarmer(&cfg)
 
 	return measureAll(ctx, plan.TotalInstr, plan.Samples, warmup, func(s PlanSample, warmupInstr uint64) (*core.Proc, error) {
-		start := s.Start - warmupInstr
-		for !cpu.Halted && cpu.Executed < start {
-			st := cpu.StepOne(prog)
-			w.observe(&st)
-		}
-		if cpu.Executed != start {
-			return nil, fmt.Errorf("sample: stream ended at %d before sample start %d (stale plan?)", cpu.Executed, s.Start)
+		if err := w.warmTo(cpu, prog, s.Start-warmupInstr, s.Start); err != nil {
+			return nil, err
 		}
 		proc, err := newMachine(prog, cfg, s, warmupInstr, cpu.Mem.Clone(), cpu.Regs, cpu.PC)
 		if err != nil {

@@ -92,13 +92,8 @@ func CaptureState(ctx context.Context, plan *Plan, prog *isa.Program, image *mem
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		start := warmStart(s, warmup)
-		for !cpu.Halted && cpu.Executed < start {
-			st := cpu.StepOne(prog)
-			w.observe(&st)
-		}
-		if cpu.Executed != start {
-			return nil, fmt.Errorf("sample: stream ended at %d before sample start %d (stale plan?)", cpu.Executed, s.Start)
+		if err := w.warmTo(cpu, prog, warmStart(s, warmup), s.Start); err != nil {
+			return nil, err
 		}
 		e.Tag("sample")
 		e.Int(cpu.PC)

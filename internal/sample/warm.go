@@ -1,10 +1,13 @@
 package sample
 
 import (
+	"fmt"
+
 	"civect/internal/bpred"
 	"civect/internal/cache"
 	"civect/internal/core"
 	"civect/internal/emu"
+	"civect/internal/isa"
 	"civect/internal/stride"
 )
 
@@ -19,7 +22,7 @@ import (
 // state (pipeline, SRSMT, wide-bus latches) the warmer cannot model.
 
 // warmer tracks functionally-warmed structures during the emulation
-// pass.
+// pass. A *warmer is the warming passes' emu.Walk observer.
 type warmer struct {
 	g                *bpred.Gshare
 	mbs              *bpred.MBS
@@ -39,31 +42,47 @@ func newWarmer(cfg *core.Config) *warmer {
 	}
 }
 
-// observe feeds one architecturally executed instruction, mirroring the
+// Observe feeds one architecturally executed instruction, mirroring the
 // detailed machine's training points: gshare/MBS train on conditional
 // branch outcomes, the stride predictor on committed load addresses,
 // the caches on the fetch and data streams with the hierarchy's miss
 // path (L1 miss walks outward).
-func (w *warmer) observe(s *emu.Step) {
-	if hit, _ := w.l1i.Access(uint64(s.PC)*core.InstBytes, false); !hit {
-		w.l2.Access(uint64(s.PC)*core.InstBytes, false)
+//
+//civet:hotpath
+func (w *warmer) Observe(pc int, in isa.Instr, addr, _ uint64, taken bool) {
+	if hit, _ := w.l1i.Access(uint64(pc)*core.InstBytes, false); !hit {
+		w.l2.Access(uint64(pc)*core.InstBytes, false)
 	}
-	if s.Instr.IsCondBranch() {
-		w.g.Update(uint64(s.PC), s.Taken)
-		w.mbs.Update(uint64(s.PC), s.Taken)
+	if in.IsCondBranch() {
+		w.g.Update(uint64(pc), taken)
+		w.mbs.Update(uint64(pc), taken)
 		return
 	}
-	if s.Instr.IsLoad() {
-		w.sp.Observe(uint64(s.PC), s.Addr)
+	if in.IsLoad() {
+		w.sp.Observe(uint64(pc), addr)
 	}
-	if s.Instr.IsLoad() || s.Instr.IsStore() {
-		write := s.Instr.IsStore()
-		if hit, _ := w.l1d.Access(s.Addr, write); !hit {
-			if h2, _ := w.l2.Access(s.Addr, write); !h2 {
-				w.l3.Access(s.Addr, write)
+	if in.IsMem() {
+		write := in.IsStore()
+		if hit, _ := w.l1d.Access(addr, write); !hit {
+			if h2, _ := w.l2.Access(addr, write); !h2 {
+				w.l3.Access(addr, write)
 			}
 		}
 	}
+}
+
+// warmTo walks cpu up to instruction start with w observing, and
+// reports an error if the stream halts first.
+func (w *warmer) warmTo(cpu *emu.CPU, prog *isa.Program, start, sampleStart uint64) error {
+	// A zero limit would mean no limit; Walk fails only with ErrLimit,
+	// which is reaching start.
+	if cpu.Executed < start {
+		_ = emu.Walk(cpu, prog, start, w)
+	}
+	if cpu.Executed != start {
+		return fmt.Errorf("sample: stream ended at %d before sample start %d (stale plan?)", cpu.Executed, sampleStart)
+	}
+	return nil
 }
 
 // adoptInto transplants the warm state into a fresh detailed machine.

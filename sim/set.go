@@ -187,45 +187,7 @@ func (s *Set) Sweep(ctx context.Context) <-chan PointResult {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	// Partition the points into units: session points run alone;
-	// the rest coalesce by exact configuration (first-occurrence
-	// order) and fill lockstep waves of up to width lanes.
-	var units []sweepUnit
-	var wave [][]int
-	if width == 1 {
-		for i, pt := range s.points {
-			if pt.session {
-				units = append(units, sweepUnit{single: i})
-			} else {
-				units = append(units, sweepUnit{lanes: [][]int{{i}}})
-			}
-		}
-	} else {
-		laneOf := make(map[Config]int, len(s.points))
-		flush := func() {
-			if len(wave) > 0 {
-				units = append(units, sweepUnit{lanes: wave})
-				wave = nil
-				laneOf = make(map[Config]int, len(s.points))
-			}
-		}
-		for i, pt := range s.points {
-			if pt.session {
-				units = append(units, sweepUnit{single: i})
-				continue
-			}
-			if li, ok := laneOf[pt.cfg]; ok {
-				wave[li] = append(wave[li], i)
-				continue
-			}
-			laneOf[pt.cfg] = len(wave)
-			wave = append(wave, []int{i})
-			if len(wave) == width {
-				flush()
-			}
-		}
-		flush()
-	}
+	units := partition(s.points, width)
 
 	unitCh := make(chan sweepUnit)
 	var wg sync.WaitGroup
@@ -247,6 +209,52 @@ func (s *Set) Sweep(ctx context.Context) <-chan PointResult {
 		close(out)
 	}()
 	return out
+}
+
+// partition splits a set's points into sweep units. Session points
+// run alone. The rest coalesce by exact configuration across the whole
+// set: a later duplicate joins the lane that first took its
+// configuration, however many waves earlier, and the distinct
+// configurations fill lockstep waves of up to width lanes in
+// first-occurrence order. Width 1 gives every point its own unit, with
+// no coalescing.
+func partition(points []setPoint, width int) []sweepUnit {
+	var units []sweepUnit
+	if width == 1 {
+		for i, pt := range points {
+			if pt.session {
+				units = append(units, sweepUnit{single: i})
+			} else {
+				units = append(units, sweepUnit{lanes: [][]int{{i}}})
+			}
+		}
+		return units
+	}
+	type laneRef struct{ unit, lane int }
+	first := make(map[Config]laneRef, len(points))
+	open := -1 // index of the wave being filled, if any
+	for i, pt := range points {
+		if pt.session {
+			units = append(units, sweepUnit{single: i})
+			continue
+		}
+		if r, ok := first[pt.cfg]; ok {
+			lanes := units[r.unit].lanes
+			lanes[r.lane] = append(lanes[r.lane], i)
+			continue
+		}
+		if open < 0 {
+			open = len(units)
+			units = append(units, sweepUnit{})
+		}
+		u := &units[open]
+		first[pt.cfg] = laneRef{open, len(u.lanes)}
+		u.lanes = append(u.lanes, []int{i})
+		if len(u.lanes) == width {
+			open = -1
+		}
+	}
+	return units
 }
 
 // runUnit simulates one sweep unit, delivering a PointResult for every
