@@ -30,18 +30,36 @@ func (r refMem) checksum() uint64 {
 	return m.Checksum()
 }
 
+// collidingKeys returns the n smallest page keys sharing page 0's TLB
+// entry, so that accesses alternating between them miss every time.
+func collidingKeys(n int) []uint64 {
+	var keys []uint64
+	for k := uint64(0); len(keys) < n; k++ {
+		if tlbSlot(k) == tlbSlot(0) {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
 // TestCopyOnWriteMatchesDeepCopy is the copy-on-write differential: a
 // source, its clone and a clone of the clone receive interleaved random
-// writes (clustered on a few pages so they collide on shared pages),
-// with further clones taken mid-sequence, and every memory must read
-// and checksum exactly as an independent deep copy taken at the same
-// moment does. This enforces the invariant that a page reachable from
-// two memories is never written in place.
+// writes (clustered on a few pages, half of them sharing one TLB entry,
+// so they collide on shared pages and evict each other's TLB entries),
+// with further clones taken, memories frozen and memories replaced by
+// their LoadDelta(SaveDelta) round trip mid-sequence, and every memory
+// must read and checksum exactly as an independent deep copy taken at
+// the same moment does. A write aimed at a frozen memory lands on a
+// fresh clone of it, as runs write clones of frozen images. This
+// enforces the invariant that a page reachable from two memories is
+// never written in place, and that no TLB entry outlives the page-table
+// entry it caches.
 func TestCopyOnWriteMatchesDeepCopy(t *testing.T) {
+	pages := append([]uint64{1, 2, 3}, collidingKeys(3)...)
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		addr := func() uint64 {
-			return uint64(rng.Intn(6))<<pageShift | uint64(rng.Intn(pageWords))<<wordShift
+			return pages[rng.Intn(len(pages))]<<pageShift | uint64(rng.Intn(pageWords))<<wordShift
 		}
 		src, ref := New(), refMem{}
 		for i := 0; i < 200; i++ {
@@ -49,8 +67,10 @@ func TestCopyOnWriteMatchesDeepCopy(t *testing.T) {
 			src.Write64(a, v)
 			ref[a] = v
 		}
+		var base *Memory // the base checkpoints encode against
 		if seed%2 == 0 {
 			src.Freeze() // workload images are frozen; the rest behave alike
+			base = src
 		}
 		mems := []*Memory{src, src.Clone()}
 		refs := []refMem{ref, ref.clone()}
@@ -59,19 +79,30 @@ func TestCopyOnWriteMatchesDeepCopy(t *testing.T) {
 
 		for step := 0; step < 3000; step++ {
 			i := rng.Intn(len(mems))
-			if i == 0 && src.frozen {
-				i = 1 + rng.Intn(len(mems)-1)
-			}
 			switch op := rng.Intn(40); {
 			case op == 0 && len(mems) < 8:
 				mems = append(mems, mems[i].Clone())
 				refs = append(refs, refs[i].clone())
-			case op < 8:
+			case op == 1 && rng.Intn(4) == 0:
+				mems[i].Freeze()
+			case op == 2:
+				var e ckpt.Encoder
+				mems[i].SaveDelta(&e, base)
+				d := ckpt.NewDecoder(e.Bytes())
+				back := LoadDelta(d, base)
+				if err := d.Err(); err != nil || d.Remaining() != 0 {
+					t.Fatalf("seed %d step %d: LoadDelta(SaveDelta(memory %d)): err %v, %d bytes left", seed, step, i, err, d.Remaining())
+				}
+				mems[i] = back
+			case op < 10:
 				a := addr()
 				if got, want := mems[i].Read64(a), refs[i][a]; got != want {
 					t.Fatalf("seed %d step %d: memory %d Read64(%#x) = %#x, deep copy has %#x", seed, step, i, a, got, want)
 				}
 			default:
+				if mems[i].frozen {
+					mems[i] = mems[i].Clone()
+				}
 				a, v := addr(), rng.Uint64()
 				mems[i].Write64(a, v)
 				refs[i][a] = v
@@ -241,6 +272,69 @@ func TestConcurrentClonesRaceFree(t *testing.T) {
 	for i := uint64(0); i < 64; i++ {
 		if img.Read64(i<<pageShift) != i || idle.Read64(i<<pageShift) != i {
 			t.Fatalf("clone writes leaked into a source at page %d", i)
+		}
+	}
+}
+
+// TestConcurrentReadsOfFrozenImage: a frozen image never fills its TLB,
+// so eight goroutines may read and clone it at once (run under -race),
+// each reading through its own clone's TLB as well.
+func TestConcurrentReadsOfFrozenImage(t *testing.T) {
+	keys := append(collidingKeys(4), 1, 2, 3, 4)
+	img := New()
+	for _, k := range keys {
+		img.Write64(k<<pageShift|8, k+1)
+	}
+	img.Freeze()
+	var wg sync.WaitGroup
+	for g := uint64(0); g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := uint64(0); round < 100; round++ {
+				c := img.Clone()
+				for _, k := range keys {
+					a := k<<pageShift | 8
+					if img.Read64(a) != k+1 || c.Read64(a) != k+1 {
+						t.Errorf("goroutine %d: page %d read wrong before any write", g, k)
+						return
+					}
+					c.Write64(a, g<<32|round)
+					if c.Read64(a) != g<<32|round || img.Read64(a) != k+1 {
+						t.Errorf("goroutine %d: a clone's write leaked or was lost at page %d", g, k)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestOwnedPageAccessAllocFree: reads and writes of pages a memory
+// already owns allocate nothing, on TLB hits and on misses served by the
+// page table (the two keys share one TLB entry).
+func TestOwnedPageAccessAllocFree(t *testing.T) {
+	keys := collidingKeys(2)
+	img := New()
+	img.Write64(keys[0]<<pageShift, 1)
+	img.Freeze()
+	m := img.Clone()
+	for _, k := range keys {
+		m.Write64(k<<pageShift, 2) // take ownership before measuring
+	}
+	for name, ks := range map[string][]uint64{"hit": keys[:1], "miss": keys} {
+		allocs := testing.AllocsPerRun(100, func() {
+			var sum uint64
+			for _, k := range ks {
+				sum += m.Read64(k<<pageShift | 16)
+			}
+			for _, k := range ks {
+				m.Write64(k<<pageShift|16, sum)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Read64+Write64 on owned pages allocated %.1f times per run", name, allocs)
 		}
 	}
 }

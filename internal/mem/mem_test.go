@@ -116,16 +116,23 @@ func TestChecksumProperties(t *testing.T) {
 }
 
 // Property: Memory agrees with a plain map model under random operations.
+// Half the operations land on pages that share one TLB entry, so they
+// evict each other and exercise the page-table path.
 func TestMemoryMatchesMapModel(t *testing.T) {
+	colliding := collidingKeys(4)
 	f := func(ops []struct {
-		Addr  uint64
-		Val   uint64
-		Write bool
+		Addr    uint64
+		Val     uint64
+		Write   bool
+		Collide bool
 	}) bool {
 		m := New()
 		model := map[uint64]uint64{}
 		for _, op := range ops {
 			a := op.Addr &^ 7
+			if op.Collide {
+				a = colliding[a>>pageShift%4]<<pageShift | a&(pageBytes-8)
+			}
 			if op.Write {
 				m.Write64(a, op.Val)
 				model[a] = op.Val

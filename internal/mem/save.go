@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"civect/internal/ckpt"
@@ -20,13 +21,15 @@ import (
 // the raw form is both smaller and cheaper to apply.
 const rawPageThreshold = pageWords / 2
 
+// zeroPage is the contents of an unmapped page. It is never written.
+var zeroPage page
+
 // SaveDelta encodes m as sparse deltas over base. A page m still shares
 // with base (the same page pointer, never written since the clone) has no
 // deltas by construction and is skipped without a scan, so the cost is
 // proportional to the pages m has written, not to the image.
 func (m *Memory) SaveDelta(e *ckpt.Encoder, base *Memory) {
 	e.Tag("mem")
-	var zero page
 
 	keys := make([]uint64, 0, len(m.pages))
 	for k, r := range m.pages {
@@ -57,14 +60,14 @@ func (m *Memory) SaveDelta(e *ckpt.Encoder, base *Memory) {
 	for _, k := range keys {
 		pg := m.pages[k].p
 		if pg == nil {
-			pg = &zero
+			pg = &zeroPage
 		}
 		var bpage *page
 		if base != nil {
 			bpage = base.pages[k].p
 		}
 		if bpage == nil {
-			bpage = &zero
+			bpage = &zeroPage
 		}
 		var idxs []int
 		for i := range pg {
@@ -99,6 +102,12 @@ func (m *Memory) SaveDelta(e *ckpt.Encoder, base *Memory) {
 // LoadDelta decodes a memory image written by SaveDelta: a clone of base
 // (empty for nil base) with the deltas applied. Only the pages the deltas
 // touch are copied; a raw page is decoded straight into a fresh page.
+// The bytes are untrusted, so only the canonical form SaveDelta writes
+// is accepted: page keys strictly ascending, sparse pages with 1 to
+// rawPageThreshold diffs at strictly ascending word indices, each
+// changing its word, and raw pages differing from base in more than
+// rawPageThreshold words. Every page record therefore changes a page
+// exactly once, and an accepted payload re-encodes to the same bytes.
 // Errors latch in d.
 func LoadDelta(d *ckpt.Decoder, base *Memory) *Memory {
 	d.Tag("mem")
@@ -109,30 +118,65 @@ func LoadDelta(d *ckpt.Decoder, base *Memory) *Memory {
 		m = New()
 	}
 	npages := d.Count()
+	var prev uint64
 	for p := 0; p < npages; p++ {
 		key := d.U64()
 		mode := d.U8()
 		if d.Err() != nil {
 			return m
 		}
+		if p > 0 && key <= prev {
+			d.Fail("memory delta page %#x does not follow page %#x", key, prev)
+			return m
+		}
+		prev = key
+		shared := m.pages[key].p // base's page, if it has one
 		switch mode {
 		case 1:
-			pg := new(page)
+			raw := d.Raw(pageBytes)
+			if raw == nil {
+				return m
+			}
+			old := shared
+			if old == nil {
+				old = &zeroPage
+			}
+			pg, ndiff := m.newPage(), 0
 			for i := range pg {
-				pg[i] = d.U64()
+				pg[i] = binary.LittleEndian.Uint64(raw[i*8:])
+				if pg[i] != old[i] {
+					ndiff++
+				}
+			}
+			if ndiff <= rawPageThreshold {
+				d.Fail("raw memory page %#x changes only %d words", key, ndiff)
+				return m
 			}
 			m.install(key, pg)
 		case 0:
-			pg := m.own(key, m.pages[key].p)
 			ndiff := d.Count()
+			if ndiff < 1 || ndiff > rawPageThreshold {
+				d.Fail("sparse memory page %#x has %d diffs, want 1..%d", key, ndiff, rawPageThreshold)
+				return m
+			}
+			pg := m.own(key, shared)
+			next := uint32(0) // lowest index the next diff may take
 			for j := 0; j < ndiff; j++ {
 				i := d.U32()
 				v := d.U64()
-				if i >= pageWords {
-					d.Fail("memory delta word index %d out of page range", i)
+				if d.Err() != nil {
+					return m
+				}
+				if i < next || i >= pageWords {
+					d.Fail("memory delta word index %d out of order or out of page range", i)
+					return m
+				}
+				if pg[i] == v {
+					d.Fail("memory delta for page %#x word %d changes nothing", key, i)
 					return m
 				}
 				pg[i] = v
+				next = i + 1
 			}
 		default:
 			d.Fail("unknown memory page mode %d", mode)
