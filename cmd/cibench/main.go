@@ -133,13 +133,12 @@ func measureIssueStage() (sim.BenchResult, error) {
 	}, nil
 }
 
-// measureBatchedSweep times a five-mode sweep of one workload run as a
-// single batched sim.Set (width lanes in lockstep over the shared
-// program): the throughput of the path ciexp's prefetch takes, as
-// opposed to the per-session rows above. The row's stats are the
-// aggregate over all five lanes; cigate's exact-match check pins the
-// batched engine's semantics along with its speed.
-func measureBatchedSweep(bench string, instr uint64, width int) (sim.BenchResult, error) {
+// measureSweep times a five-mode sweep of one workload run as a single
+// sim.Set on one worker: the throughput of the path ciexp's prefetch
+// takes, as opposed to the per-session rows above. The row's stats are
+// the aggregate over all five points; cigate's exact-match check pins
+// the sweep's results along with its speed.
+func measureSweep(bench string, instr uint64) (sim.BenchResult, error) {
 	w, err := sim.Load(bench)
 	if err != nil {
 		return sim.BenchResult{}, err
@@ -158,7 +157,6 @@ func measureBatchedSweep(bench string, instr uint64, width int) (sim.BenchResult
 				runErr = err
 				return
 			}
-			set.Width = width
 			set.Workers = 1
 			results, err := set.Run(context.Background())
 			if err != nil {
@@ -174,7 +172,7 @@ func measureBatchedSweep(bench string, instr uint64, width int) (sim.BenchResult
 		}
 	})
 	if runErr != nil {
-		return sim.BenchResult{}, fmt.Errorf("batched sweep %s: %w", bench, runErr)
+		return sim.BenchResult{}, fmt.Errorf("sweep %s: %w", bench, runErr)
 	}
 	ns := br.NsPerOp()
 	return sim.BenchResult{
@@ -254,7 +252,6 @@ func main() {
 	bench := flag.String("bench", "gcc,gcc.big,mcf.big", "comma-separated benchmark workloads (both tiers allowed)")
 	instr := flag.Uint64("instr", 30_000, "committed-instruction budget per simulation")
 	micro := flag.Bool("micro", true, "include the issue-stage scheduler microbenchmark row")
-	batch := flag.Int("batch", 0, "lockstep width of the batched-sweep row (0 auto, 1 sequential)")
 	flag.Parse()
 
 	var results []sim.BenchResult
@@ -282,7 +279,7 @@ func main() {
 	}
 	{
 		first := strings.Split(*bench, ",")[0]
-		r, err := measureBatchedSweep(first, *instr, *batch)
+		r, err := measureSweep(first, *instr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cibench: %v\n", err)
 			os.Exit(1)

@@ -47,7 +47,6 @@ func main() {
 	benches := flag.String("benches", "", "comma-separated benchmark subset (default: the selected tier)")
 	tier := flag.String("tier", "base", "benchmark tier: base (the twelve ~3k-instr stand-ins), big (their 100k+-instr variants), ultra (their 10M+-dynamic-instr variants), both (base+big), or all")
 	workers := flag.Int("workers", 0, "maximum simulations in flight across all experiments (default GOMAXPROCS; 1 fully serializes)")
-	batch := flag.Int("batch", 0, "lockstep batch width for sweep prefetch (0 auto, 1 legacy sequential; results are bit-identical at every width)")
 	shard := flag.String("shard", "", "run only shard k/n of the sweep and emit per-cell JSON for cimerge")
 	shardState := flag.String("shard-state", "", "crash-recovery journal for -shard: completed cells append here and a restarted run skips them (removed on success)")
 	jsonOut := flag.Bool("json", false, "emit the tables as JSON instead of aligned text")
@@ -61,7 +60,7 @@ func main() {
 		return
 	}
 
-	opt := harness.Options{MaxInstr: *instr, Workers: *workers, BatchWidth: *batch}
+	opt := harness.Options{MaxInstr: *instr, Workers: *workers}
 	switch *tier {
 	case "base":
 		// The harness default.

@@ -527,6 +527,61 @@ func (p *Proc) Run() (*Stats, error) {
 // channel) the polling is skipped entirely.
 const ctxCheckInterval = 1024
 
+// watchdogCycles is RunContext's forward-progress bound: a pipeline
+// that commits nothing for this many cycles is a simulator bug and
+// fails loudly instead of spinning.
+const watchdogCycles = 500_000
+
+// runStop reports why runLoop returned.
+type runStop uint8
+
+const (
+	// runFinished: the program halted or the committed-instruction
+	// budget is exhausted.
+	runFinished runStop = iota
+	// runCycleBound: the cycle safety bound was exceeded.
+	runCycleBound
+	// runStalled: the no-commit-progress watchdog tripped.
+	runStalled
+	// runCanceled: the run context fired at a cycle boundary.
+	runCanceled
+)
+
+// runLoop steps the pipeline until it finishes, trips the cycle bound
+// or the watchdog, or a context poll sees done closed. It is the cycle
+// loop of every detailed run; error rendering stays in RunContext, out
+// of the hot loop.
+//
+//civet:hotpath
+func (p *Proc) runLoop(maxCycles uint64, done <-chan struct{}) runStop {
+	lastCommit, lastCommitCycle := p.Stats.Committed, p.cycle
+	ctxCheck := ctxCheckInterval
+	for {
+		if p.halted || (p.cfg.MaxInstr > 0 && p.Stats.Committed >= p.cfg.MaxInstr) {
+			return runFinished
+		}
+		if p.cycle >= maxCycles {
+			return runCycleBound
+		}
+		if done != nil {
+			if ctxCheck--; ctxCheck <= 0 {
+				ctxCheck = ctxCheckInterval
+				select {
+				case <-done:
+					return runCanceled
+				default:
+				}
+			}
+		}
+		p.step()
+		if p.Stats.Committed != lastCommit {
+			lastCommit, lastCommitCycle = p.Stats.Committed, p.cycle
+		} else if p.cycle-lastCommitCycle > watchdogCycles {
+			return runStalled
+		}
+	}
+}
+
 // RunContext is Run under a context: cancellation or an expired
 // deadline stops the simulation at the next cycle boundary. On
 // cancellation it returns the partial statistics accumulated so far
@@ -537,20 +592,16 @@ func (p *Proc) RunContext(ctx context.Context) (*Stats, error) {
 	if maxCycles == 0 {
 		maxCycles = 200_000_000
 	}
-	// One-lane degenerate batch: the single-configuration run is the
-	// batched engine's fallback path, so the two cannot drift.
-	ls := laneState{
-		p: p, maxCycles: maxCycles, ctxCheck: ctxCheckInterval,
-		lastCommit: p.Stats.Committed, lastCommitCycle: p.cycle,
-	}
-	switch st := ls.stepChunk(^uint64(0), ctx.Done()); st {
-	case laneFinished:
-		return p.Finalize(), nil
-	case laneCanceled:
+	switch p.runLoop(maxCycles, ctx.Done()) {
+	case runCycleBound:
+		return nil, fmt.Errorf("core: cycle bound %d exceeded (committed %d)", maxCycles, p.Stats.Committed)
+	case runStalled:
+		return nil, fmt.Errorf("core: no commit progress for 500k cycles at cycle %d (mode %v, head state %v)",
+			p.cycle, p.cfg.Mode, p.headState())
+	case runCanceled:
 		return p.Finalize(), ctx.Err()
-	default:
-		return nil, laneError(&ls, st)
 	}
+	return p.Finalize(), nil
 }
 
 // Step advances the pipeline by one cycle (a no-op once the program

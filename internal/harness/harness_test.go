@@ -120,39 +120,6 @@ func TestRunExperimentsMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBatchWidthsMatch pins the -batch flag's contract: the rendered
-// experiment tables are byte-identical whether the sweep prefetch runs
-// batched (lockstep lanes, duplicate coalescing) or as legacy
-// sequential sessions.
-func TestBatchWidthsMatch(t *testing.T) {
-	fig5, _ := ExperimentByID("fig5")
-	fig8, _ := ExperimentByID("fig8")
-	exps := []Experiment{fig5, fig8}
-	var want []string
-	for _, width := range []int{1, 0, 3} {
-		opt := tinyOptions()
-		opt.BatchWidth = width
-		tables, err := RunExperiments(New(opt), exps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]string, len(tables))
-		for i, tab := range tables {
-			got[i] = tab.String()
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Errorf("batch width %d: %s table differs from sequential:\n%s\n---\n%s",
-					width, exps[i].ID, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestHarmonicMean(t *testing.T) {
 	a := &core.Stats{Cycles: 100, Committed: 100} // IPC 1
 	b := &core.Stats{Cycles: 100, Committed: 300} // IPC 3

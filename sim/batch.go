@@ -76,7 +76,7 @@ func (b *Batch) Resume(ctx context.Context, path string, opts ...Option) (*Resul
 
 // run acquires a worker slot, builds the session and runs it, turning
 // panics into *PanicError.
-func (b *Batch) run(ctx context.Context, build func() (*Session, error)) (res *Result, err error) {
+func (b *Batch) run(ctx context.Context, build func() (*Session, error)) (*Result, error) {
 	select {
 	case b.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -91,6 +91,12 @@ func (b *Batch) run(ctx context.Context, build func() (*Session, error)) (res *R
 			break
 		}
 	}
+	return runGuarded(ctx, build)
+}
+
+// runGuarded builds and runs one session, turning a panic in either
+// step into a *PanicError.
+func runGuarded(ctx context.Context, build func() (*Session, error)) (res *Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res, err = nil, &PanicError{Value: v, Stack: debug.Stack()}

@@ -9,7 +9,6 @@ import (
 
 	"civect/internal/ckpt"
 	"civect/internal/core"
-	"civect/internal/trace"
 )
 
 // Checkpointing: a session can persist its full machine state — the
@@ -80,21 +79,15 @@ func Resume(path string, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := settings{cfg: info.Config}
-	for _, o := range opts {
-		o(&st)
-	}
-	if st.err != nil {
-		return nil, st.err
+	st, err := resolve(info.Config, opts)
+	if err != nil {
+		return nil, err
 	}
 	if st.sampling != nil {
 		return nil, errors.New("sim: WithSampling cannot resume a checkpoint")
 	}
 	if st.cfg != info.Config {
 		return nil, errors.New("sim: resume options cannot change the configuration; the checkpoint fixes the machine")
-	}
-	if st.traceW == nil && (st.traceLevel != 0 || st.traceWindowed) {
-		return nil, errors.New("sim: WithTraceLevel/WithTraceWindow require WithTrace")
 	}
 	w, err := Load(info.Program)
 	if err != nil {
@@ -110,22 +103,8 @@ func Resume(path string, opts ...Option) (*Session, error) {
 	}
 	s := &Session{w: w, cfg: info.Config, proc: p,
 		ckptPath: st.ckptPath, ckptEvery: st.ckptEvery, ckptBase: base}
-	if st.obs != nil {
-		p.SetObserver(st.obs, st.progressEvery)
-	}
-	if st.traceW != nil {
-		lvl := trace.Level(st.traceLevel)
-		if lvl == 0 {
-			lvl = trace.LevelPipeline
-		}
-		s.rec = trace.NewRecorder(st.traceW, lvl, trace.Meta{Workload: w.name, Mode: st.cfg.Mode})
-		if st.traceWindowed {
-			s.rec.SetWindow(st.traceFirst, st.traceLast)
-		}
-		if err := s.rec.Err(); err != nil {
-			return nil, err
-		}
-		p.SetTracer(s.rec)
+	if err := s.attach(&st); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

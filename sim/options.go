@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -24,6 +25,37 @@ type settings struct {
 	ckptPath      string
 	ckptEvery     uint64
 	err           error
+}
+
+// resolve applies opts over base and checks the combination as a
+// whole: the one validation New, NewSet and Resume share, so an option
+// list is accepted or rejected the same way wherever it is used. Nil
+// options are skipped.
+func resolve(base Config, opts []Option) (settings, error) {
+	st := settings{cfg: base}
+	for _, o := range opts {
+		if o != nil {
+			o(&st)
+		}
+	}
+	if st.err != nil {
+		return st, st.err
+	}
+	if st.traceW == nil && (st.traceLevel != 0 || st.traceWindowed) {
+		return st, errors.New("sim: WithTraceLevel/WithTraceWindow require WithTrace")
+	}
+	if st.sampling != nil && (st.traceW != nil || st.obs != nil || st.ckptPath != "") {
+		return st, errors.New("sim: WithSampling is incompatible with WithTrace, WithObserver and WithCheckpoint")
+	}
+	return st, st.cfg.Validate()
+}
+
+// solo reports whether a session built from st does more than simulate
+// its configuration in detail: it observes, traces, samples or writes
+// checkpoints. A Set runs such a point as a simulation of its own and
+// never shares it with, or copies it to, another point.
+func (st *settings) solo() bool {
+	return st.obs != nil || st.traceW != nil || st.sampling != nil || st.ckptPath != ""
 }
 
 // Option configures a Session at construction; options apply in the

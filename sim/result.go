@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"time"
-
-	"civect/internal/benchfmt"
-)
+import "civect/internal/benchfmt"
 
 // Result is the outcome of one simulation session. It embeds the
 // versioned benchfmt row — the same schema cibench writes to
@@ -35,18 +31,11 @@ type Result struct {
 // makeResult renders a stats snapshot as a Result using the wall time
 // accumulated so far.
 func (s *Session) makeResult(stats *Stats, partial bool) *Result {
-	return newResult(s.w, s.cfg, stats, partial, s.wall)
-}
-
-// newResult renders a stats snapshot as a Result; Session runs and Set
-// sweeps share it, so every simulation in the stack reports one
-// format.
-func newResult(w *Workload, cfg Config, stats *Stats, partial bool, wall time.Duration) *Result {
-	ns := wall.Nanoseconds()
+	ns := s.wall.Nanoseconds()
 	r := &Result{
 		Result: benchfmt.Result{
-			Mode:          cfg.Mode.String(),
-			Bench:         w.Name(),
+			Mode:          s.cfg.Mode.String(),
+			Bench:         s.w.Name(),
 			Instr:         stats.Committed,
 			NsPerOp:       ns,
 			IPC:           stats.IPC(),

@@ -3,6 +3,8 @@ package sim_test
 import (
 	"context"
 	"errors"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"civect/sim"
@@ -72,14 +74,36 @@ func TestSetValidatesEagerly(t *testing.T) {
 }
 
 // TestSweepMatchesSessions is the façade-level differential: every
-// point of a batched sweep must produce statistics bit-identical to a
-// Session built with the same options, and the width-1 legacy path
-// must match too.
+// point of a sweep, the coalesced duplicate included, must produce
+// statistics bit-identical to a Session built with the same options.
 func TestSweepMatchesSessions(t *testing.T) {
 	w := mustLoad(t, "gcc")
 	points := sweepPoints(8_000)
+	want := sessionStats(t, w, points)
 
-	want := make([]sim.Stats, len(points))
+	set, err := sim.NewSet(w, points...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := collect(t, set)
+	for i, res := range results {
+		if res.Partial {
+			t.Errorf("point %d: unexpectedly partial", i)
+		}
+		if res.Stats != want[i] {
+			t.Errorf("point %d: sweep stats diverge from a Session run", i)
+		}
+	}
+	if results[1] == results[4] {
+		t.Error("coalesced points share one Result; each must own its copy")
+	}
+}
+
+// sessionStats runs each option list as its own Session and returns
+// the statistics, failing the test on any error.
+func sessionStats(t *testing.T, w *sim.Workload, points []sim.PointOpts) []sim.Stats {
+	t.Helper()
+	stats := make([]sim.Stats, len(points))
 	for i, opts := range points {
 		sess, err := sim.New(w, opts...)
 		if err != nil {
@@ -89,23 +113,106 @@ func TestSweepMatchesSessions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = res.Stats
+		stats[i] = res.Stats
+	}
+	return stats
+}
+
+// TestSweepPointHardError gives one point a cycle bound it trips long
+// before its budget: that point alone delivers an error and a nil
+// Result, and its siblings, one of them sharing every other option,
+// still match their Session runs.
+func TestSweepPointHardError(t *testing.T) {
+	w := mustLoad(t, "gcc")
+	good := []sim.PointOpts{
+		{sim.WithMode(sim.CI), sim.WithInstrBudget(5_000)},
+		{sim.WithMode(sim.Scalar), sim.WithInstrBudget(5_000)},
+	}
+	bad := sim.PointOpts{sim.WithMode(sim.CI), sim.WithInstrBudget(5_000),
+		sim.WithConfigPatch(func(c *sim.Config) { c.MaxCycles = 64 })}
+	want := sessionStats(t, w, good)
+
+	set, err := sim.NewSet(w, good[0], bad, good[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]*sim.Result, set.Len())
+	errs := make([]error, set.Len())
+	for pr := range set.Sweep(context.Background()) {
+		results[pr.Index], errs[pr.Index] = pr.Result, pr.Err
+	}
+	if results[1] != nil || errs[1] == nil {
+		t.Errorf("bounded point: result %v, err %v; want a nil Result and an error", results[1], errs[1])
+	}
+	for i, j := range []int{0, 2} {
+		if errs[j] != nil || results[j] == nil {
+			t.Fatalf("point %d: result %v, err %v", j, results[j], errs[j])
+		}
+		if results[j].Stats != want[i] {
+			t.Errorf("point %d diverges from its Session run", j)
+		}
+	}
+}
+
+// TestSetHonoursSessionOptions proves a Set point is the Session its
+// options describe. A sampled point returns the sampled Result New
+// gives, even beside a plain point with the same configuration; a
+// checkpointing point saves its state when cancelled, and resuming it
+// reproduces a plain run; and NewSet rejects the option combinations
+// New rejects.
+func TestSetHonoursSessionOptions(t *testing.T) {
+	w := mustLoad(t, "gcc")
+	sampling := sim.WithSampling(sim.SamplingConfig{IntervalLen: 4_000, Clusters: 2, Warmup: 1_000})
+	plain := sim.PointOpts{sim.WithMode(sim.CI), sim.WithInstrBudget(24_000)}
+	sampled := append(sim.PointOpts{sampling}, plain...)
+
+	sess, err := sim.New(w, sampled...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sess.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := sim.NewSet(w, plain, sampled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := collect(t, set)
+	if results[0].Sampled != nil {
+		t.Error("plain point returned a sampled Result")
+	}
+	if got := results[1]; got.Sampled == nil {
+		t.Error("sampled point returned a detailed Result")
+	} else if got.IPC != want.IPC || !reflect.DeepEqual(got.Sampled.Stats, want.Sampled.Stats) {
+		t.Errorf("sampled point IPC %v, stats %v; a Session gives IPC %v, stats %v",
+			got.IPC, got.Sampled.Stats, want.IPC, want.Sampled.Stats)
 	}
 
-	for _, width := range []int{0, 1, 2} {
-		set, err := sim.NewSet(w, points...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		set.Width = width
-		for i, res := range collect(t, set) {
-			if res.Partial {
-				t.Errorf("width %d point %d: unexpectedly partial", width, i)
-			}
-			if res.Stats != want[i] {
-				t.Errorf("width %d point %d: sweep stats diverge from a Session run", width, i)
-			}
-		}
+	path := filepath.Join(t.TempDir(), "point.ckpt")
+	set, err = sim.NewSet(w, plain, append(sim.PointOpts{sim.WithCheckpoint(path, 0)}, plain...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for range set.Sweep(ctx) {
+	}
+	resumed, err := sim.Resume(path)
+	if err != nil {
+		t.Fatalf("cancelled checkpoint point left no checkpoint: %v", err)
+	}
+	res, err := resumed.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats != sessionStats(t, w, []sim.PointOpts{plain})[0] {
+		t.Error("resumed checkpoint point diverges from a plain run")
+	}
+
+	var obs countingObserver
+	if _, err := sim.NewSet(w, sim.PointOpts{sampling, sim.WithObserver(&obs, 0)}); err == nil {
+		t.Error("WithSampling+WithObserver must fail NewSet as it fails New")
 	}
 }
 

@@ -193,25 +193,19 @@ func New(w *Workload, opts ...Option) (*Session, error) {
 	if w == nil {
 		return nil, errors.New("sim: nil workload")
 	}
-	st := settings{cfg: DefaultConfig(CI)}
-	for _, o := range opts {
-		o(&st)
-	}
-	if st.err != nil {
-		return nil, st.err
-	}
-	if st.traceW == nil && (st.traceLevel != 0 || st.traceWindowed) {
-		return nil, errors.New("sim: WithTraceLevel/WithTraceWindow require WithTrace")
-	}
-	if st.sampling != nil && (st.traceW != nil || st.obs != nil || st.ckptPath != "") {
-		return nil, errors.New("sim: WithSampling is incompatible with WithTrace, WithObserver and WithCheckpoint")
-	}
-	p, err := core.New(st.cfg, w.prog, w.newMem())
+	st, err := resolve(DefaultConfig(CI), opts)
 	if err != nil {
 		return nil, err
 	}
-	if st.obs != nil {
-		p.SetObserver(st.obs, st.progressEvery)
+	return newSession(w, st)
+}
+
+// newSession builds the session New describes from resolved settings;
+// a Set builds each of its simulations through it too.
+func newSession(w *Workload, st settings) (*Session, error) {
+	p, err := core.New(st.cfg, w.prog, w.newMem())
+	if err != nil {
+		return nil, err
 	}
 	s := &Session{w: w, cfg: st.cfg, proc: p, sampling: st.sampling, ckptPath: st.ckptPath, ckptEvery: st.ckptEvery}
 	if st.ckptPath != "" {
@@ -219,21 +213,34 @@ func New(w *Workload, opts ...Option) (*Session, error) {
 		// the processor's: checkpoint memory deltas encode against it.
 		s.ckptBase = w.newMem()
 	}
-	if st.traceW != nil {
-		lvl := trace.Level(st.traceLevel)
-		if lvl == 0 {
-			lvl = trace.LevelPipeline
-		}
-		s.rec = trace.NewRecorder(st.traceW, lvl, trace.Meta{Workload: w.name, Mode: st.cfg.Mode})
-		if st.traceWindowed {
-			s.rec.SetWindow(st.traceFirst, st.traceLast)
-		}
-		if err := s.rec.Err(); err != nil {
-			return nil, err
-		}
-		p.SetTracer(s.rec)
+	if err := s.attach(&st); err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// attach wires the observer and trace journal of st to the session's
+// processor.
+func (s *Session) attach(st *settings) error {
+	if st.obs != nil {
+		s.proc.SetObserver(st.obs, st.progressEvery)
+	}
+	if st.traceW == nil {
+		return nil
+	}
+	lvl := trace.Level(st.traceLevel)
+	if lvl == 0 {
+		lvl = trace.LevelPipeline
+	}
+	s.rec = trace.NewRecorder(st.traceW, lvl, trace.Meta{Workload: s.w.name, Mode: st.cfg.Mode})
+	if st.traceWindowed {
+		s.rec.SetWindow(st.traceFirst, st.traceLast)
+	}
+	if err := s.rec.Err(); err != nil {
+		return err
+	}
+	s.proc.SetTracer(s.rec)
+	return nil
 }
 
 // closeTrace seals the trace journal (writing its trailer) when the
