@@ -143,16 +143,16 @@ func measureSweep(bench string, instr uint64) (sim.BenchResult, error) {
 	if err != nil {
 		return sim.BenchResult{}, err
 	}
-	points := make([]sim.PointOpts, len(sim.Modes()))
+	points := make([]sim.Point, len(sim.Modes()))
 	for i, m := range sim.Modes() {
-		points[i] = sim.PointOpts{sim.WithMode(m), sim.WithInstrBudget(instr)}
+		points[i] = sim.Point{Workload: w, Options: []sim.Option{sim.WithMode(m), sim.WithInstrBudget(instr)}}
 	}
 	var committed, reuseHits, cycles uint64
 	var runErr error
 	br := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			set, err := sim.NewSet(w, points...)
+			set, err := sim.NewSet(points...)
 			if err != nil {
 				runErr = err
 				return

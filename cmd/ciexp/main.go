@@ -1,9 +1,9 @@
 // Command ciexp regenerates the paper's tables and figures over the
 // synthetic SpecInt2000 workloads.
 //
-// Experiments run concurrently (they share one memoized run cache), and
-// the -workers flag bounds how many simulations may execute at once
-// across all of them.
+// Experiments share one memoized run cache, filled by one sweep of
+// every simulation they need; the -workers flag bounds how many of
+// those simulations execute at once.
 //
 // With -shard k/n the command runs only the k-th of n deterministic
 // partitions of the sweep's simulation cross-product and emits the raw
@@ -11,8 +11,9 @@
 // into the complete tables, byte-identical to an unsharded run. This
 // lets a CI farm (or several machines) split a full-budget sweep.
 // Adding -shard-state journals completed cells to a file so a killed
-// shard run can be restarted with the same flags and only simulate the
-// cells it had not yet finished — the output stays byte-identical.
+// (or interrupted: SIGINT and SIGTERM stop the shard) run can be
+// restarted with the same flags and only simulate the cells it had not
+// yet finished — the output stays byte-identical.
 //
 // Usage:
 //
@@ -25,11 +26,14 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 
 	"civect/internal/harness"
 	"civect/internal/sweep"
@@ -46,7 +50,7 @@ func main() {
 	instr := flag.Uint64("instr", 200_000, "committed-instruction budget per simulation")
 	benches := flag.String("benches", "", "comma-separated benchmark subset (default: the selected tier)")
 	tier := flag.String("tier", "base", "benchmark tier: base (the twelve ~3k-instr stand-ins), big (their 100k+-instr variants), ultra (their 10M+-dynamic-instr variants), both (base+big), or all")
-	workers := flag.Int("workers", 0, "maximum simulations in flight across all experiments (default GOMAXPROCS; 1 fully serializes)")
+	workers := flag.Int("workers", 0, "maximum simulations in flight (default GOMAXPROCS; 1 fully serializes)")
 	shard := flag.String("shard", "", "run only shard k/n of the sweep and emit per-cell JSON for cimerge")
 	shardState := flag.String("shard-state", "", "crash-recovery journal for -shard: completed cells append here and a restarted run skips them (removed on success)")
 	jsonOut := flag.Bool("json", false, "emit the tables as JSON instead of aligned text")
@@ -101,12 +105,9 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		var file *sweep.File
-		if *shardState != "" {
-			file, err = sweep.RunShardJournaled(expIDs, opt, sh, *shardState)
-		} else {
-			file, err = sweep.RunShard(expIDs, opt, sh)
-		}
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		file, err := sweep.RunShard(ctx, expIDs, opt, sh, *shardState)
+		stop()
 		if err != nil {
 			fail(err)
 		}

@@ -5,18 +5,17 @@
 //
 // Runs are memoized (several figures share the same configurations).
 // RunExperiments plans the whole sweep up front (a dry run against a
-// recording planner), prefetches it through one sim.Set sweep per
-// benchmark — its configurations sharing one decoded program — and
-// then replays the experiments against the primed cache. Simulations
-// are built and run exclusively through the public civect/sim façade;
-// the harness adds memoization, planning and the experiment registry
-// on top.
+// recording planner), prefetches it through one sim.Set over every
+// benchmark — whose worker bound, Options.Workers, is the harness's
+// only concurrency bound — and then replays the experiments against
+// the primed cache. Simulations are built and run exclusively through
+// the public civect/sim façade; the harness adds memoization, planning
+// and the experiment registry on top.
 package harness
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -58,7 +57,9 @@ type Options struct {
 	MaxInstr uint64
 	// Benches restricts the benchmark set (default: all twelve).
 	Benches []string
-	// Workers bounds parallel simulations (default GOMAXPROCS).
+	// Workers bounds how many simulations one Prefetch or Sweep runs
+	// at once (0 or negative uses GOMAXPROCS). Results are
+	// bit-identical for every value.
 	Workers int
 }
 
@@ -68,9 +69,6 @@ func (o Options) withDefaults() Options {
 	}
 	if len(o.Benches) == 0 {
 		o.Benches = sim.BaseWorkloads()
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -100,10 +98,8 @@ var plannerStats = &core.Stats{
 	Loads: 100, Stores: 10,
 }
 
-// Harness memoizes simulation runs across experiments. A shared
-// semaphore bounds simulation workers in flight regardless of how many
-// experiments, prefetch sweeps or RunAll fan-outs share the harness, so
-// Options.Workers is an end-to-end concurrency bound.
+// Harness memoizes simulation runs across experiments. Every
+// simulation it runs goes through Sweep, one sim.Set per call.
 type Harness struct {
 	opt  Options
 	mode harnessMode
@@ -118,10 +114,11 @@ type Harness struct {
 	// (sweep.RunShard, sweep.Tables).
 	requested map[RunSpec]bool
 
-	// sem bounds simulation workers; cur/maxCur (under mu) gauge them.
-	sem    chan struct{}
-	cur    int
-	maxCur int
+	// observe, when non-nil, attaches a fresh observer to every point
+	// Sweep simulates (reporting every observeEvery instructions), so
+	// tests can watch the simulations the harness runs.
+	observe      func() sim.Observer
+	observeEvery uint64
 }
 
 // New builds a harness.
@@ -131,27 +128,7 @@ func New(opt Options) *Harness {
 		opt:       opt,
 		cache:     make(map[RunSpec]*core.Stats),
 		requested: make(map[RunSpec]bool),
-		sem:       make(chan struct{}, opt.Workers),
 	}
-}
-
-// acquire claims one simulation worker slot, updating the concurrency
-// gauge; every slot claimed must be released.
-func (h *Harness) acquire() {
-	h.sem <- struct{}{}
-	h.mu.Lock()
-	h.cur++
-	if h.cur > h.maxCur {
-		h.maxCur = h.cur
-	}
-	h.mu.Unlock()
-}
-
-func (h *Harness) release() {
-	h.mu.Lock()
-	h.cur--
-	h.mu.Unlock()
-	<-h.sem
 }
 
 // NewPlanner builds a harness whose Run records specs instead of
@@ -280,148 +257,112 @@ func specOptions(s RunSpec) []sim.Option {
 // serves primed results and errors on anything else.
 func (h *Harness) Run(s RunSpec) (*core.Stats, error) {
 	s = h.normalize(s)
-	switch h.mode {
-	case modePlan:
-		h.mu.Lock()
+	h.mu.Lock()
+	if h.mode == modePlan {
 		h.cache[s] = plannerStats
 		h.mu.Unlock()
 		return plannerStats, nil
-	case modeOffline:
-		h.mu.Lock()
-		h.requested[s] = true
-		st, ok := h.cache[s]
-		h.mu.Unlock()
-		if !ok {
-			return nil, fmt.Errorf("offline harness: no primed result for %s (incomplete shard coverage?)", s.Key())
-		}
-		return st, nil
 	}
-	h.mu.Lock()
 	h.requested[s] = true
-	if st, ok := h.cache[s]; ok {
-		h.mu.Unlock()
-		return st, nil
-	}
+	st, ok := h.cache[s]
 	h.mu.Unlock()
+	switch {
+	case ok:
+		return st, nil
+	case h.mode == modeOffline:
+		return nil, fmt.Errorf("offline harness: no primed result for %s (incomplete shard coverage?)", s.Key())
+	}
 
-	// Cache miss: simulate the spec as a one-point set. The prefetch
-	// path keeps RunExperiments and sweep shards from ever landing
-	// here; direct Run/RunAll callers pay one session per miss.
-	w, err := sim.Load(s.Bench)
-	if err != nil {
+	// Cache miss: RunExperiments and sweep shards prefetch their whole
+	// plan, so only direct Run callers land here.
+	if err := h.Prefetch([]RunSpec{s}); err != nil {
 		return nil, err
 	}
-	set, err := sim.NewSet(w, sim.PointOpts(specOptions(s)))
-	if err != nil {
-		return nil, fmt.Errorf("%s/%v: %v", s.Bench, s.Mode, err)
-	}
-	h.acquire()
-	results, err := set.Run(context.Background())
-	h.release()
-	if err != nil {
-		return nil, fmt.Errorf("%s/%v: %v", s.Bench, s.Mode, err)
-	}
-	st := &results[0].Stats
-
 	h.mu.Lock()
-	// A concurrent identical miss may have raced us here; keep the
-	// first result so memoized pointers stay stable (the stats are
-	// bit-identical either way — the simulator is deterministic).
-	if prev, ok := h.cache[s]; ok {
-		st = prev
-	} else {
-		h.cache[s] = st
-	}
+	st = h.cache[s]
 	h.mu.Unlock()
 	return st, nil
 }
 
-// Prefetch simulates the given specs through per-benchmark sim.Set
-// sweeps and primes the cache, so subsequent Run calls for them are
-// hits. Specs already cached are skipped; up to Options.Workers
-// benchmark sweeps run concurrently, each one simulation at a time.
-// Prefetching does not mark specs as requested — plan-vs-execution
-// accounting (ExecutedSpecs, UnusedPrimed) still reflects what the
-// experiments actually ask for.
+// Prefetch simulates the given specs and primes the cache, so
+// subsequent Run calls for them are hits: Sweep without a context or a
+// per-cell callback.
 func (h *Harness) Prefetch(specs []RunSpec) error {
+	return h.Sweep(context.Background(), specs, nil)
+}
+
+// Sweep simulates the specs not yet cached as one sim.Set, up to
+// Options.Workers at a time, and primes the cache with each result as
+// it arrives. Each primed cell is then passed to each (when non-nil)
+// on the calling goroutine, so a caller can persist cells as they
+// finish. A failed simulation, an error from each or cancelling ctx
+// stops the sweep and Sweep returns the first error; cells primed
+// before that stay cached. Sweeping does not mark specs as requested —
+// plan-vs-execution accounting (ExecutedSpecs, UnusedPrimed) still
+// reflects what the experiments actually ask for. Planner and offline
+// harnesses simulate nothing: Sweep returns nil at once.
+func (h *Harness) Sweep(ctx context.Context, specs []RunSpec, each func(RunSpec, *core.Stats) error) error {
+	if h.mode != modeSimulate {
+		return nil
+	}
+	var todo []RunSpec
 	seen := make(map[RunSpec]bool, len(specs))
-	byBench := make(map[string][]RunSpec)
 	h.mu.Lock()
 	for _, s := range specs {
 		s = h.normalize(s)
-		if seen[s] {
-			continue
+		if _, cached := h.cache[s]; !cached && !seen[s] {
+			seen[s] = true
+			todo = append(todo, s)
 		}
-		seen[s] = true
-		if _, ok := h.cache[s]; ok {
-			continue
-		}
-		byBench[s.Bench] = append(byBench[s.Bench], s)
 	}
 	h.mu.Unlock()
-	if len(byBench) == 0 {
+	if len(todo) == 0 {
 		return nil
 	}
 
-	benches := make([]string, 0, len(byBench))
-	for b := range byBench {
-		benches = append(benches, b)
-	}
-	sort.Strings(benches)
-
-	errs := make([]error, len(benches))
-	var wg sync.WaitGroup
-	for i, bench := range benches {
-		wg.Add(1)
-		go func(i int, bench string) {
-			defer wg.Done()
-			errs[i] = h.prefetchBench(bench, byBench[bench])
-		}(i, bench)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	points := make([]sim.Point, len(todo))
+	for i, s := range todo {
+		w, err := sim.Load(s.Bench)
 		if err != nil {
 			return err
 		}
+		opts := specOptions(s)
+		if h.observe != nil {
+			opts = append(opts, sim.WithObserver(h.observe(), h.observeEvery))
+		}
+		points[i] = sim.Point{Workload: w, Options: opts}
 	}
-	return nil
-}
-
-// prefetchBench sweeps one benchmark's specs as a single set and
-// primes each result.
-func (h *Harness) prefetchBench(bench string, specs []RunSpec) error {
-	w, err := sim.Load(bench)
+	set, err := sim.NewSet(points...)
 	if err != nil {
 		return err
 	}
-	points := make([]sim.PointOpts, len(specs))
-	for i, s := range specs {
-		points[i] = sim.PointOpts(specOptions(s))
-	}
-	set, err := sim.NewSet(w, points...)
-	if err != nil {
-		return fmt.Errorf("%s: %v", bench, err)
-	}
-	set.Workers = 1 // the harness semaphore is the concurrency bound
-	h.acquire()
-	results, err := set.Run(context.Background())
-	h.release()
-	if err != nil {
-		return fmt.Errorf("%s: %v", bench, err)
-	}
-	for i, res := range results {
-		h.Prime(specs[i], &res.Stats)
-	}
-	return nil
-}
+	set.Workers = h.opt.Workers
 
-// MaxConcurrent returns the highest number of simulation workers that
-// have executed simultaneously on this harness (never above
-// Options.Workers; a prefetch sweep counts as one worker).
-func (h *Harness) MaxConcurrent() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.maxCur
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var firstErr error
+	fail := func(err error) {
+		if firstErr == nil {
+			firstErr = err
+			cancel()
+		}
+	}
+	for pr := range set.Sweep(ctx) {
+		s := todo[pr.Index]
+		if pr.Err != nil {
+			fail(fmt.Errorf("%s: %w", s.Key(), pr.Err))
+			continue
+		}
+		st := &pr.Result.Stats
+		h.Prime(s, st)
+		if each != nil {
+			if err := each(s, st); err != nil {
+				fail(err)
+				each = nil
+			}
+		}
+	}
+	return firstErr
 }
 
 // RunExperiments plans the experiments' sweep with a dry run,
@@ -458,34 +399,24 @@ func RunExperiments(h *Harness, exps []Experiment) ([]*Table, error) {
 	return tables, nil
 }
 
-// RunAll simulates one spec per benchmark in parallel and returns the
-// stats keyed by benchmark name.
+// RunAll runs one spec per benchmark, prefetched as one sweep, and
+// returns the stats keyed by benchmark name.
 func (h *Harness) RunAll(base RunSpec) (map[string]*core.Stats, error) {
-	type result struct {
-		name string
-		st   *core.Stats
-		err  error
+	specs := make([]RunSpec, len(h.opt.Benches))
+	for i, name := range h.opt.Benches {
+		specs[i] = base
+		specs[i].Bench = name
 	}
-	ch := make(chan result, len(h.opt.Benches))
-	var wg sync.WaitGroup
-	for _, name := range h.opt.Benches {
-		wg.Add(1)
-		go func(name string) {
-			defer wg.Done()
-			s := base
-			s.Bench = name
-			st, err := h.Run(s)
-			ch <- result{name, st, err}
-		}(name)
+	if err := h.Prefetch(specs); err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	close(ch)
-	out := make(map[string]*core.Stats, len(h.opt.Benches))
-	for r := range ch {
-		if r.err != nil {
-			return nil, r.err
+	out := make(map[string]*core.Stats, len(specs))
+	for _, s := range specs {
+		st, err := h.Run(s)
+		if err != nil {
+			return nil, err
 		}
-		out[r.name] = r.st
+		out[s.Bench] = st
 	}
 	return out, nil
 }

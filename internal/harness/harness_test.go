@@ -2,7 +2,9 @@ package harness
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"civect/internal/core"
 	"civect/sim"
@@ -66,12 +68,37 @@ func TestRunAllParallel(t *testing.T) {
 	}
 }
 
+// flightObserver counts the simulations inside a progress report at
+// once: each report holds its session in the run for a moment, so
+// simulations running beyond the worker bound would overlap there.
+type flightObserver struct{ inside, peak *atomic.Int64 }
+
+func (o flightObserver) OnCommitBatch(cycle uint64, committed, reused int) {}
+func (o flightObserver) OnCycleJump(from, to uint64)                       {}
+func (o flightObserver) OnProgress(cycle, committed uint64) {
+	n := o.inside.Add(1)
+	for p := o.peak.Load(); n > p && !o.peak.CompareAndSwap(p, n); p = o.peak.Load() {
+	}
+	time.Sleep(time.Millisecond)
+	o.inside.Add(-1)
+}
+
+// watchFlight attaches a flightObserver to every simulation h runs and
+// returns the peak it records.
+func watchFlight(h *Harness) *atomic.Int64 {
+	var inside, peak atomic.Int64
+	h.observe = func() sim.Observer { return flightObserver{&inside, &peak} }
+	h.observeEvery = 5_000
+	return &peak
+}
+
 func TestWorkersOneSerializes(t *testing.T) {
 	opt := tinyOptions()
 	opt.Workers = 1
 	h := New(opt)
-	// Fan out over benchmarks and two concurrent experiments: plenty of
-	// parallel demand, all of which the semaphore must serialize.
+	peak := watchFlight(h)
+	// Fan out over benchmarks and two experiments: plenty of parallel
+	// demand, all of which Options.Workers must serialize.
 	if _, err := h.RunAll(RunSpec{Mode: core.ModeCI, Ports: 1, Regs: 256}); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +107,7 @@ func TestWorkersOneSerializes(t *testing.T) {
 	if _, err := RunExperiments(h, []Experiment{fig5, fig8}); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.MaxConcurrent(); got != 1 {
+	if got := peak.Load(); got != 1 {
 		t.Fatalf("Options.Workers=1 must serialize simulations; observed %d in flight", got)
 	}
 }
@@ -89,11 +116,12 @@ func TestWorkersBoundRespected(t *testing.T) {
 	opt := tinyOptions()
 	opt.Workers = 2
 	h := New(opt)
+	peak := watchFlight(h)
 	if _, err := h.RunAll(RunSpec{Mode: core.ModeScalar, Ports: 1, Regs: 256}); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.MaxConcurrent(); got > 2 {
-		t.Fatalf("Options.Workers=2 exceeded: observed %d in flight", got)
+	if got := peak.Load(); got < 1 || got > 2 {
+		t.Fatalf("Options.Workers=2: observed %d in flight, want 1 or 2", got)
 	}
 }
 

@@ -12,7 +12,8 @@
 // Fault sites, one rate knob each:
 //
 //   - worker panic: the attempt's observer panics mid-run, exercising
-//     the sim.Batch panic recovery and the server's retry path
+//     the façade's panic recovery (Session.Run returns a
+//     *sim.PanicError) and the server's retry path
 //   - slow job: the attempt sleeps before simulating, holding its
 //     worker slot so queues back up (backpressure and queue-wait
 //     watermarks become reachable in tests)

@@ -171,7 +171,6 @@ type Server struct {
 
 	inflight atomic.Int64
 	breaker  *breaker
-	batch    *sim.Batch
 	workerWG sync.WaitGroup
 	started  time.Time
 }
@@ -190,7 +189,6 @@ func New(cfg Config) *Server {
 		jobs:       make(map[string]*Job),
 		byKey:      make(map[string]*Job),
 		breaker:    newBreaker(cfg.Breaker, nil),
-		batch:      sim.NewBatch(cfg.Workers),
 		started:    time.Now(),
 	}
 	s.workerWG.Add(cfg.Workers)
@@ -458,13 +456,19 @@ func (s *Server) runAttempt(ctx context.Context, j *Job, attempt int) (*sim.Resu
 		}
 	}
 
-	var res *sim.Result
+	// New, Resume and Run return a panic, such as an injected observer
+	// fault, as a *sim.PanicError.
+	var sess *sim.Session
 	var err error
 	if ckptPath != "" && fileExists(ckptPath) {
 		j.setResumed()
-		res, err = s.batch.Resume(ctx, ckptPath, opts...)
+		sess, err = sim.Resume(ckptPath, opts...)
 	} else {
-		res, err = s.batch.Run(ctx, j.w, opts...)
+		sess, err = sim.New(j.w, opts...)
+	}
+	var res *sim.Result
+	if err == nil {
+		res, err = sess.Run(ctx)
 	}
 	if err != nil {
 		if res != nil && !res.Partial {

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -11,11 +10,11 @@ import (
 	"civect/internal/harness"
 )
 
-// Shard journaling: RunShardJournaled is RunShard with crash recovery.
-// As each cell finishes it is appended to a journal file — one Cell
-// JSON object per line, synced — so a killed shard run can be restarted
-// with the same journal path and simulate only the cells it had not yet
-// completed. The final File is byte-identical to a straight RunShard's:
+// Shard journaling gives RunShard crash recovery. As each cell
+// finishes it is appended to a journal file — one Cell JSON object per
+// line, synced — so a killed shard run can be restarted with the same
+// journal path and simulate only the cells it had not yet completed.
+// The final File is byte-identical to an unjournaled RunShard's:
 // journal-recovered cells carry the exact Stats recorded before the
 // kill, and the deterministic engines make re-simulated cells
 // bit-identical anyway. On success the journal is removed — like a
@@ -64,94 +63,59 @@ func readJournal(path string, allowed map[string]bool) (map[string]*core.Stats, 
 	return done, nil
 }
 
-// RunShardJournaled is RunShard with a crash-recovery journal at path:
-// completed cells are appended (and synced) as they finish, cells
-// already in the journal are recovered instead of re-simulated, and the
-// journal is removed once the full shard File is assembled. Restarting
-// after a kill with the same arguments and journal path therefore
-// completes the shard, producing a File byte-identical to an
-// uninterrupted RunShard's.
-func RunShardJournaled(expIDs []string, opt harness.Options, sh Shard, path string) (*File, error) {
-	specs, err := Plan(expIDs, opt)
-	if err != nil {
-		return nil, err
-	}
-	exps, _ := resolveExps(expIDs)
-	mine := sh.Select(specs)
+// shardJournal is an open shard journal.
+type shardJournal struct {
+	path string
+	f    *os.File
+}
 
-	allowed := make(map[string]bool, len(mine))
-	for _, s := range mine {
+// openJournal recovers the cells of the journal at path into h, so a
+// sweep of cells skips them, and opens the journal for appending.
+func openJournal(path string, cells []harness.RunSpec, h *harness.Harness) (*shardJournal, error) {
+	allowed := make(map[string]bool, len(cells))
+	for _, s := range cells {
 		allowed[s.Key()] = true
 	}
 	done, err := readJournal(path, allowed)
 	if err != nil {
 		return nil, err
 	}
-	if done == nil {
-		done = make(map[string]*core.Stats, len(mine))
-	}
-
-	var pending []harness.RunSpec
-	for _, s := range mine {
-		if _, ok := done[s.Key()]; !ok {
-			pending = append(pending, s)
+	for _, s := range cells {
+		if st, ok := done[s.Key()]; ok {
+			h.Prime(s, st)
 		}
 	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: journal: %w", err)
+	}
+	return &shardJournal{path: path, f: f}, nil
+}
 
-	h := harness.New(opt)
-	cells := make([]Cell, len(mine))
-	if len(pending) > 0 {
-		jf, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: journal: %w", err)
-		}
-		defer jf.Close()
-		jw := bufio.NewWriter(jf)
-		if err := h.Prefetch(pending); err != nil {
-			return nil, fmt.Errorf("sweep: shard %s: %w", sh, err)
-		}
-		for _, s := range pending {
-			st, err := h.Run(s)
-			if err != nil {
-				return nil, fmt.Errorf("sweep: shard %s cell %s: %w", sh, s.Key(), err)
-			}
-			line, err := json.Marshal(Cell{Spec: s, Stats: st})
-			if err != nil {
-				return nil, fmt.Errorf("sweep: journal: %w", err)
-			}
-			jw.Write(line)
-			jw.WriteByte('\n')
-			// Flush and sync per cell: each cell is a whole simulation, so
-			// the sync is cheap relative to the work it makes durable.
-			if err := jw.Flush(); err != nil {
-				return nil, fmt.Errorf("sweep: journal: %w", err)
-			}
-			if err := jf.Sync(); err != nil {
-				return nil, fmt.Errorf("sweep: journal: %w", err)
-			}
-			done[s.Key()] = st
-		}
+// append records one completed cell. It syncs per cell: each cell is a
+// whole simulation, so the sync is cheap relative to the work it makes
+// durable.
+func (j *shardJournal) append(s harness.RunSpec, st *core.Stats) error {
+	line, err := json.Marshal(Cell{Spec: s, Stats: st})
+	if err != nil {
+		return fmt.Errorf("sweep: journal: %w", err)
 	}
-	for i, s := range mine {
-		cells[i] = Cell{Spec: s, Stats: done[s.Key()]}
+	if _, err := j.f.Write(append(line, '\n')); err != nil {
+		return fmt.Errorf("sweep: journal: %w", err)
 	}
+	if err := j.f.Sync(); err != nil {
+		return fmt.Errorf("sweep: journal: %w", err)
+	}
+	return nil
+}
 
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("sweep: removing completed journal: %w", err)
+// finish closes and removes the journal of a completed shard.
+func (j *shardJournal) finish() error {
+	if err := j.f.Close(); err != nil {
+		return fmt.Errorf("sweep: journal: %w", err)
 	}
-
-	ids := make([]string, len(exps))
-	for i, e := range exps {
-		ids[i] = e.ID
+	if err := os.Remove(j.path); err != nil {
+		return fmt.Errorf("sweep: removing completed journal: %w", err)
 	}
-	hopt := h.Options()
-	return &File{
-		Version:   FormatVersion,
-		Shard:     sh.K,
-		NumShards: sh.N,
-		Exps:      ids,
-		MaxInstr:  hopt.MaxInstr,
-		Benches:   hopt.Benches,
-		Cells:     cells,
-	}, nil
+	return nil
 }

@@ -21,6 +21,7 @@
 package sweep
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -215,10 +216,18 @@ func (f *File) sameSweep(g *File) bool {
 }
 
 // RunShard plans the sweep, selects this shard's cells and simulates
-// them on a fresh harness: the cells are prefetched through
-// per-benchmark sim.Set sweeps (worker bound opt.Workers) and then
-// collected in shard order from the primed cache.
-func RunShard(expIDs []string, opt harness.Options, sh Shard) (*File, error) {
+// them on a fresh harness through one sweep (worker bound
+// opt.Workers), returning them in shard order. Cancelling ctx stops
+// the shard with the context error.
+//
+// A non-empty journal path makes the shard crash-safe: each cell is
+// appended to the journal (and synced) as the sweep delivers it, cells
+// already in the journal are recovered instead of re-simulated, and
+// the journal is removed once the File is assembled. Restarting a
+// killed or cancelled shard with the same arguments and journal path
+// therefore simulates only the missing cells and produces a File
+// byte-identical to an uninterrupted run's.
+func RunShard(ctx context.Context, expIDs []string, opt harness.Options, sh Shard, journal string) (*File, error) {
 	specs, err := Plan(expIDs, opt)
 	if err != nil {
 		return nil, err
@@ -227,7 +236,16 @@ func RunShard(expIDs []string, opt harness.Options, sh Shard) (*File, error) {
 	mine := sh.Select(specs)
 
 	h := harness.New(opt)
-	if err := h.Prefetch(mine); err != nil {
+	var jn *shardJournal
+	var each func(harness.RunSpec, *core.Stats) error
+	if journal != "" {
+		if jn, err = openJournal(journal, mine, h); err != nil {
+			return nil, err
+		}
+		defer jn.f.Close() // error paths; finish closes it on success
+		each = jn.append
+	}
+	if err := h.Sweep(ctx, mine, each); err != nil {
 		return nil, fmt.Errorf("sweep: shard %s: %w", sh, err)
 	}
 	cells := make([]Cell, len(mine))
@@ -237,6 +255,11 @@ func RunShard(expIDs []string, opt harness.Options, sh Shard) (*File, error) {
 			return nil, fmt.Errorf("sweep: shard %s cell %s: %w", sh, s.Key(), err)
 		}
 		cells[i] = Cell{Spec: s, Stats: st}
+	}
+	if jn != nil {
+		if err := jn.finish(); err != nil {
+			return nil, err
+		}
 	}
 
 	// A shard runs its plan slice directly, so the plan-vs-run hazard

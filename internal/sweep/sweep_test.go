@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"encoding/json"
 	"hash/fnv"
 	"strings"
@@ -286,7 +287,7 @@ func tinyMerge(t *testing.T, expIDs []string, opt harness.Options, n int) []*Fil
 	t.Helper()
 	var files []*File
 	for k := 1; k <= n; k++ {
-		f, err := RunShard(expIDs, opt, Shard{K: k, N: n})
+		f, err := RunShard(context.Background(), expIDs, opt, Shard{K: k, N: n}, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,7 +425,7 @@ func TestTablesDetectsUnusedPrimedCell(t *testing.T) {
 func TestShardPlanMatchesExecution(t *testing.T) {
 	expIDs := []string{"fig10"}
 	opt := harness.Options{MaxInstr: 5000, Benches: []string{"gcc"}}
-	f, err := RunShard(expIDs, opt, Shard{K: 1, N: 2})
+	f, err := RunShard(context.Background(), expIDs, opt, Shard{K: 1, N: 2}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,41 +126,3 @@ func TestDeadlineSealsSession(t *testing.T) {
 		t.Errorf("rejection message %q does not name the deadline", err)
 	}
 }
-
-// TestBatchStreamCancellation: cancelling a streaming batch cuts
-// running jobs short (partial results with the context error) and
-// fails jobs still queued, and the stream still terminates cleanly.
-func TestBatchStreamCancellation(t *testing.T) {
-	before := goroutines()
-	b := sim.NewBatch(2)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	var jobs []sim.Job
-	for _, name := range []string{"gcc", "gzip", "eon", "vpr", "twolf", "mcf"} {
-		jobs = append(jobs, sim.Job{
-			Workload: name,
-			Options:  []sim.Option{sim.WithMode(sim.CI), sim.WithInstrBudget(500_000_000)},
-		})
-	}
-	done := 0
-	for r := range b.Stream(ctx, jobs) {
-		done++
-		if r.Err == nil {
-			t.Errorf("%s: expected a cancellation error on an effectively unbounded run", r.Job.Workload)
-			continue
-		}
-		if r.Result != nil && !r.Result.Partial {
-			t.Errorf("%s: cut-short result not marked partial", r.Job.Workload)
-		}
-	}
-	if done != len(jobs) {
-		t.Errorf("stream delivered %d outcomes, want %d", done, len(jobs))
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for goroutines() > before+2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := goroutines(); after > before+2 {
-		t.Errorf("goroutines leaked after cancelled stream: %d -> %d", before, after)
-	}
-}

@@ -69,8 +69,10 @@ func (s *Session) Checkpoint(path string) error {
 // Options may attach an observer, a trace journal or a checkpoint
 // cadence/path override — but not change the machine: the checkpoint
 // fixes the configuration, and any option that would alter it (mode,
-// ports, budget, ...) is an error. WithSampling cannot resume.
-func Resume(path string, opts ...Option) (*Session, error) {
+// ports, budget, ...) is an error. WithSampling cannot resume. A
+// panic while rebuilding the session is returned as a *PanicError.
+func Resume(path string, opts ...Option) (_ *Session, err error) {
+	defer recoverPanic(nil, &err)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)

@@ -22,24 +22,29 @@ func (o *panicObserver) OnProgress(cycle, committed uint64) {
 	}
 }
 
-// TestBatchRecoversPanic: a job that panics mid-run must come back as a
-// per-job *PanicError — panic value and stack included — while the jobs
-// sharing the pool finish normally and the process survives.
-func TestBatchRecoversPanic(t *testing.T) {
-	b := sim.NewBatch(2)
+// TestRunRecoversPanic: a session that panics mid-run must come back
+// as a *PanicError — panic value and stack included — with the session
+// sealed, and the process must stay healthy for the next session.
+func TestRunRecoversPanic(t *testing.T) {
 	w := mustLoad(t, "gcc")
-
-	_, err := b.Run(context.Background(), w,
+	sess, err := sim.New(w,
 		sim.WithMode(sim.CI),
 		sim.WithInstrBudget(50_000),
 		sim.WithObserver(&panicObserver{after: 1_000}, 500),
 	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Run(context.Background())
 	if err == nil {
-		t.Fatal("panicking job returned nil error")
+		t.Fatal("panicking run returned nil error")
+	}
+	if res != nil {
+		t.Errorf("panicking run returned a Result: %+v", res)
 	}
 	var pe *sim.PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("panicking job returned %T (%v), want *sim.PanicError", err, err)
+		t.Fatalf("panicking run returned %T (%v), want *sim.PanicError", err, err)
 	}
 	if got := pe.Value; got != "observer exploded" {
 		t.Errorf("PanicError.Value = %v, want the panic value", got)
@@ -50,48 +55,58 @@ func TestBatchRecoversPanic(t *testing.T) {
 	if !strings.Contains(err.Error(), "observer exploded") {
 		t.Errorf("Error() = %q, does not name the panic value", err)
 	}
+	if _, err := sess.Run(context.Background()); !errors.Is(err, sim.ErrSessionEnded) {
+		t.Errorf("rerunning a panicked session: err = %v, want ErrSessionEnded", err)
+	}
 
-	// The pool is still healthy: a normal job on the same batch runs to
-	// completion.
-	res, err := b.Run(context.Background(), w,
-		sim.WithMode(sim.CI), sim.WithInstrBudget(10_000))
+	// The next session runs to completion.
+	sess, err = sim.New(w, sim.WithMode(sim.CI), sim.WithInstrBudget(10_000))
 	if err != nil {
-		t.Fatalf("healthy job after a panicked one: %v", err)
+		t.Fatal(err)
+	}
+	res, err = sess.Run(context.Background())
+	if err != nil {
+		t.Fatalf("healthy run after a panicked one: %v", err)
 	}
 	if res.Partial || res.Stats.Committed < 10_000 {
-		t.Errorf("healthy job incomplete: partial=%v committed=%d", res.Partial, res.Stats.Committed)
+		t.Errorf("healthy run incomplete: partial=%v committed=%d", res.Partial, res.Stats.Committed)
 	}
 }
 
-// TestBatchStreamRecoversPanic: a panicking job inside a Stream fan-out
-// fails alone; every other job still delivers its result and the
-// stream closes.
-func TestBatchStreamRecoversPanic(t *testing.T) {
-	b := sim.NewBatch(2)
-	jobs := []sim.Job{
-		{Workload: "gcc", Tag: "ok-1", Options: []sim.Option{sim.WithMode(sim.CI), sim.WithInstrBudget(5_000)}},
-		{Workload: "gcc", Tag: "boom", Options: []sim.Option{
+// TestSweepRecoversPanic: a panicking point inside a Set fails alone;
+// every other point, on either workload, still delivers its result
+// and the sweep closes.
+func TestSweepRecoversPanic(t *testing.T) {
+	gcc, gzip := mustLoad(t, "gcc"), mustLoad(t, "gzip")
+	healthy := []sim.Option{sim.WithMode(sim.CI), sim.WithInstrBudget(5_000)}
+	set, err := sim.NewSet(
+		sim.Point{Workload: gcc, Options: healthy},
+		sim.Point{Workload: gcc, Options: []sim.Option{
 			sim.WithMode(sim.CI),
 			sim.WithInstrBudget(50_000),
 			sim.WithObserver(&panicObserver{after: 1_000}, 500),
 		}},
-		{Workload: "gzip", Tag: "ok-2", Options: []sim.Option{sim.WithMode(sim.CI), sim.WithInstrBudget(5_000)}},
+		sim.Point{Workload: gzip, Options: healthy},
+	)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := map[string]sim.BatchResult{}
-	for r := range b.Stream(context.Background(), jobs) {
-		got[r.Job.Tag] = r
+	set.Workers = 2
+	got := map[int]sim.PointResult{}
+	for pr := range set.Sweep(context.Background()) {
+		got[pr.Index] = pr
 	}
-	if len(got) != len(jobs) {
-		t.Fatalf("stream delivered %d outcomes, want %d", len(got), len(jobs))
+	if len(got) != set.Len() {
+		t.Fatalf("sweep delivered %d outcomes, want %d", len(got), set.Len())
 	}
 	var pe *sim.PanicError
-	if !errors.As(got["boom"].Err, &pe) {
-		t.Errorf("panicking job: err = %v, want *sim.PanicError", got["boom"].Err)
+	if !errors.As(got[1].Err, &pe) {
+		t.Errorf("panicking point: err = %v, want *sim.PanicError", got[1].Err)
 	}
-	for _, tag := range []string{"ok-1", "ok-2"} {
-		r := got[tag]
+	for _, i := range []int{0, 2} {
+		r := got[i]
 		if r.Err != nil || r.Result == nil || r.Result.Partial {
-			t.Errorf("%s: err=%v result=%v — a neighbour's panic must not fail this job", tag, r.Err, r.Result)
+			t.Errorf("point %d: err=%v result=%v — a neighbour's panic must not fail this point", i, r.Err, r.Result)
 		}
 	}
 }

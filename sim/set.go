@@ -8,9 +8,15 @@ import (
 	"sync"
 )
 
-// PointOpts is the option list of one configuration point in a Set:
-// exactly the options a single Session would be built with.
-type PointOpts []Option
+// Point is one configuration point of a Set: the workload to simulate
+// and exactly the options a single Session over it would be built
+// with.
+type Point struct {
+	// Workload is the program and initial image the point simulates.
+	Workload *Workload
+	// Options configure the point's session.
+	Options []Option
+}
 
 // PointResult pairs one Set point with its outcome, streamed by
 // Sweep. Exactly one of Result and Err is meaningful — except on
@@ -25,15 +31,17 @@ type PointResult struct {
 	Err error
 }
 
-// Set is a multi-configuration sweep over one workload: the supported
-// way to run N configuration points of the same program. Build one
-// with NewSet, then stream the results with Sweep (or collect them
-// with Run). Every point is a Session built as New builds it, over the
-// program the workload decoded once. Points whose resolved
-// configurations are exactly equal are simulated once and the Result
-// copied to each (the simulator is deterministic, so coalescing is
-// never observable); points that observe, trace, sample or write
-// checkpoints always run alone.
+// Set is a sweep of configuration points, over one workload or
+// several: the supported way to run many simulations under one
+// concurrency bound. Build one with NewSet, then stream the results
+// with Sweep (or collect them with Run). Every point is a Session
+// built as New builds it. Points that start from the same program and
+// initial image with exactly equal resolved configurations are
+// simulated once and the Result copied to each (the simulator is
+// deterministic, so coalescing is never observable). Two Load calls of
+// one name share their program and image, so their points coalesce;
+// Custom workloads and workloads changed by SetWord own theirs. Points
+// that observe, trace, sample or write checkpoints always run alone.
 //
 // A Set is single-use and, once swept, sealed; the Workers knob must
 // be set before Sweep is called. Sets are not safe for concurrent use
@@ -44,42 +52,45 @@ type Set struct {
 	// Workers value.
 	Workers int
 
-	w      *Workload
-	points []settings
+	points []point
 	swept  bool
 }
 
-// NewSet builds a sweep set over workload w with one point per option
-// list, validating every point eagerly exactly as New would: a nil or
-// invalid workload, an invalid option combination or an invalid
-// configuration on any point all surface here, so a Set that
-// constructs is guaranteed runnable.
-func NewSet(w *Workload, points ...PointOpts) (*Set, error) {
-	if w == nil {
-		return nil, errors.New("sim: nil workload")
-	}
+// point is one validated Set point: its workload and resolved
+// settings.
+type point struct {
+	w  *Workload
+	st settings
+}
+
+// NewSet builds a sweep set with one simulation per point, validating
+// every point eagerly exactly as New would: a nil or invalid workload,
+// an invalid option combination or an invalid configuration on any
+// point all surface here, so a Set that constructs is guaranteed
+// runnable.
+func NewSet(points ...Point) (*Set, error) {
 	if len(points) == 0 {
 		return nil, errors.New("sim: a set needs at least one point")
 	}
-	if _, err := w.prog.Decode(); err != nil {
-		return nil, err
-	}
-	s := &Set{w: w, points: make([]settings, len(points))}
-	for i, opts := range points {
-		st, err := resolve(DefaultConfig(CI), opts)
+	s := &Set{points: make([]point, len(points))}
+	for i, p := range points {
+		if p.Workload == nil {
+			return nil, fmt.Errorf("sim: set point %d: nil workload", i)
+		}
+		if _, err := p.Workload.prog.Decode(); err != nil {
+			return nil, fmt.Errorf("sim: set point %d: %w", i, err)
+		}
+		st, err := resolve(DefaultConfig(CI), p.Options)
 		if err != nil {
 			return nil, fmt.Errorf("sim: set point %d: %w", i, err)
 		}
-		s.points[i] = st
+		s.points[i] = point{w: p.Workload, st: st}
 	}
 	return s, nil
 }
 
 // Len returns the number of configuration points.
 func (s *Set) Len() int { return len(s.points) }
-
-// Workload returns the workload the set sweeps.
-func (s *Set) Workload() *Workload { return s.w }
 
 // Run sweeps the set to completion and collects the results in point
 // order: the blocking convenience over Sweep. The returned error is
@@ -104,9 +115,10 @@ func (s *Set) Run(ctx context.Context) ([]*Result, error) {
 //
 // Cancelling ctx stops every running simulation at its next cycle
 // boundary: such points deliver partial, well-formed Results together
-// with the context error, exactly as Session.Run does. A Set is
-// single-use; sweeping again yields every point with an error wrapping
-// ErrSessionEnded.
+// with the context error, exactly as Session.Run does. A panic while
+// building or running a point is that point's *PanicError, as New and
+// Session.Run return it. A Set is single-use; sweeping again yields
+// every point with an error wrapping ErrSessionEnded.
 func (s *Set) Sweep(ctx context.Context) <-chan PointResult {
 	out := make(chan PointResult, len(s.points))
 	if s.swept {
@@ -147,21 +159,29 @@ func (s *Set) Sweep(ctx context.Context) <-chan PointResult {
 	return out
 }
 
+// unitKey identifies what one simulation computes: the program and
+// initial image it starts from, and its resolved configuration.
+type unitKey struct {
+	image imageKey
+	cfg   Config
+}
+
 // partition groups a set's points into sweep units, each a list of
-// point indices one simulation serves. Points coalesce by exact
-// configuration across the whole set: a later duplicate joins the unit
-// that first took its configuration. Solo points always get a unit of
-// their own. Units keep first-occurrence order.
-func partition(points []settings) [][]int {
+// point indices one simulation serves. Points coalesce by unitKey
+// across the whole set: a later duplicate joins the unit that first
+// took its key. Solo points always get a unit of their own. Units keep
+// first-occurrence order.
+func partition(points []point) [][]int {
 	var units [][]int
-	first := make(map[Config]int, len(points))
+	first := make(map[unitKey]int, len(points))
 	for i := range points {
-		if pt := &points[i]; !pt.solo() {
-			if u, ok := first[pt.cfg]; ok {
+		if pt := &points[i]; !pt.st.solo() {
+			key := unitKey{image: pt.w.imageKey(), cfg: pt.st.cfg}
+			if u, ok := first[key]; ok {
 				units[u] = append(units[u], i)
 				continue
 			}
-			first[pt.cfg] = len(units)
+			first[key] = len(units)
 		}
 		units = append(units, []int{i})
 	}
@@ -172,7 +192,12 @@ func partition(points []settings) [][]int {
 // outcome to every point the unit covers, each with its own copy of
 // the Result.
 func (s *Set) runUnit(ctx context.Context, unit []int, out chan<- PointResult) {
-	res, err := runGuarded(ctx, func() (*Session, error) { return newSession(s.w, s.points[unit[0]]) })
+	p := &s.points[unit[0]]
+	sess, err := newSession(p.w, p.st)
+	var res *Result
+	if err == nil {
+		res, err = sess.Run(ctx)
+	}
 	for _, idx := range unit {
 		pr := PointResult{Index: idx, Err: err}
 		if res != nil {

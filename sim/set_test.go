@@ -5,23 +5,34 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"civect/sim"
 )
 
-// sweepPoints is a representative sweep slice: several distinct
-// configurations, one exact duplicate (the coalescing case), across
-// modes.
-func sweepPoints(budget uint64) []sim.PointOpts {
-	return []sim.PointOpts{
-		{sim.WithMode(sim.Scalar), sim.WithInstrBudget(budget)},
-		{sim.WithMode(sim.CI), sim.WithInstrBudget(budget)},
-		{sim.WithMode(sim.CI), sim.WithInstrBudget(budget), sim.WithRegs(512)},
-		{sim.WithMode(sim.Vect), sim.WithInstrBudget(budget)},
-		{sim.WithMode(sim.CI), sim.WithInstrBudget(budget)}, // duplicate of point 1
-		{sim.WithMode(sim.CIIW), sim.WithInstrBudget(budget)},
+// sweepPoints is a representative sweep slice over w: several
+// distinct configurations, one exact duplicate (the coalescing case),
+// across modes.
+func sweepPoints(w *sim.Workload, budget uint64) []sim.Point {
+	return points(w,
+		[]sim.Option{sim.WithMode(sim.Scalar), sim.WithInstrBudget(budget)},
+		[]sim.Option{sim.WithMode(sim.CI), sim.WithInstrBudget(budget)},
+		[]sim.Option{sim.WithMode(sim.CI), sim.WithInstrBudget(budget), sim.WithRegs(512)},
+		[]sim.Option{sim.WithMode(sim.Vect), sim.WithInstrBudget(budget)},
+		[]sim.Option{sim.WithMode(sim.CI), sim.WithInstrBudget(budget)}, // duplicate of point 1
+		[]sim.Option{sim.WithMode(sim.CIIW), sim.WithInstrBudget(budget)},
+	)
+}
+
+// points builds one Set point over w per option list.
+func points(w *sim.Workload, opts ...[]sim.Option) []sim.Point {
+	ps := make([]sim.Point, len(opts))
+	for i, o := range opts {
+		ps[i] = sim.Point{Workload: w, Options: o}
 	}
+	return ps
 }
 
 // collect sweeps the set and returns results indexed by point, failing
@@ -49,39 +60,37 @@ func collect(t *testing.T, s *sim.Set) []*sim.Result {
 // option or configuration errors (naming the failing point).
 func TestSetValidatesEagerly(t *testing.T) {
 	w := mustLoad(t, "gcc")
-	if _, err := sim.NewSet(nil, sim.PointOpts{}); err == nil {
+	if _, err := sim.NewSet(sim.Point{Workload: w}, sim.Point{}); err == nil {
 		t.Error("nil workload must fail")
 	}
-	if _, err := sim.NewSet(w); err == nil {
+	if _, err := sim.NewSet(); err == nil {
 		t.Error("empty point list must fail")
 	}
-	bad := []sim.PointOpts{
-		{sim.WithMode(sim.CI)},
-		{sim.WithPorts(0)},
-	}
-	if _, err := sim.NewSet(w, bad...); err == nil {
+	bad := points(w, []sim.Option{sim.WithMode(sim.CI)}, []sim.Option{sim.WithPorts(0)})
+	if _, err := sim.NewSet(bad...); err == nil {
 		t.Error("invalid point option must fail NewSet")
 	}
-	patch := []sim.PointOpts{
-		{sim.WithConfigPatch(func(c *sim.Config) { c.PhysRegs = 8 })},
-	}
-	if _, err := sim.NewSet(w, patch...); err == nil {
+	patch := points(w, []sim.Option{sim.WithConfigPatch(func(c *sim.Config) { c.PhysRegs = 8 })})
+	if _, err := sim.NewSet(patch...); err == nil {
 		t.Error("invalid point configuration must fail NewSet")
 	}
-	if _, err := sim.NewSet(w, sim.PointOpts{sim.WithTraceLevel(sim.TraceCommits)}); err == nil {
+	if _, err := sim.NewSet(points(w, []sim.Option{sim.WithTraceLevel(sim.TraceCommits)})...); err == nil {
 		t.Error("trace level without a trace writer must fail NewSet")
 	}
 }
 
 // TestSweepMatchesSessions is the façade-level differential: every
-// point of a sweep, the coalesced duplicate included, must produce
-// statistics bit-identical to a Session built with the same options.
+// point of a sweep over two benchmarks, the coalesced duplicates
+// included, must produce statistics bit-identical to a Session built
+// with the same options. The second gcc point list comes from its own
+// Load call, so it coalesces across Workload values.
 func TestSweepMatchesSessions(t *testing.T) {
-	w := mustLoad(t, "gcc")
-	points := sweepPoints(8_000)
-	want := sessionStats(t, w, points)
+	gcc, mcf := mustLoad(t, "gcc"), mustLoad(t, "mcf")
+	points := append(sweepPoints(gcc, 8_000), sweepPoints(mcf, 8_000)...)
+	points = append(points, sweepPoints(mustLoad(t, "gcc"), 8_000)[1])
+	want := sessionStats(t, points)
 
-	set, err := sim.NewSet(w, points...)
+	set, err := sim.NewSet(points...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,18 +103,21 @@ func TestSweepMatchesSessions(t *testing.T) {
 			t.Errorf("point %d: sweep stats diverge from a Session run", i)
 		}
 	}
-	if results[1] == results[4] {
+	if results[1] == results[4] || results[1] == results[len(results)-1] {
 		t.Error("coalesced points share one Result; each must own its copy")
+	}
+	if results[1].Stats == results[7].Stats {
+		t.Error("gcc and mcf points with equal options gave equal stats; the workloads were mixed up")
 	}
 }
 
-// sessionStats runs each option list as its own Session and returns
-// the statistics, failing the test on any error.
-func sessionStats(t *testing.T, w *sim.Workload, points []sim.PointOpts) []sim.Stats {
+// sessionStats runs each point as its own Session and returns the
+// statistics, failing the test on any error.
+func sessionStats(t *testing.T, points []sim.Point) []sim.Stats {
 	t.Helper()
 	stats := make([]sim.Stats, len(points))
-	for i, opts := range points {
-		sess, err := sim.New(w, opts...)
+	for i, p := range points {
+		sess, err := sim.New(p.Workload, p.Options...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,15 +136,15 @@ func sessionStats(t *testing.T, w *sim.Workload, points []sim.PointOpts) []sim.S
 // still match their Session runs.
 func TestSweepPointHardError(t *testing.T) {
 	w := mustLoad(t, "gcc")
-	good := []sim.PointOpts{
-		{sim.WithMode(sim.CI), sim.WithInstrBudget(5_000)},
-		{sim.WithMode(sim.Scalar), sim.WithInstrBudget(5_000)},
-	}
-	bad := sim.PointOpts{sim.WithMode(sim.CI), sim.WithInstrBudget(5_000),
-		sim.WithConfigPatch(func(c *sim.Config) { c.MaxCycles = 64 })}
-	want := sessionStats(t, w, good)
+	good := points(w,
+		[]sim.Option{sim.WithMode(sim.CI), sim.WithInstrBudget(5_000)},
+		[]sim.Option{sim.WithMode(sim.Scalar), sim.WithInstrBudget(5_000)},
+	)
+	bad := sim.Point{Workload: w, Options: []sim.Option{sim.WithMode(sim.CI), sim.WithInstrBudget(5_000),
+		sim.WithConfigPatch(func(c *sim.Config) { c.MaxCycles = 64 })}}
+	want := sessionStats(t, good)
 
-	set, err := sim.NewSet(w, good[0], bad, good[1])
+	set, err := sim.NewSet(good[0], bad, good[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +175,8 @@ func TestSweepPointHardError(t *testing.T) {
 func TestSetHonoursSessionOptions(t *testing.T) {
 	w := mustLoad(t, "gcc")
 	sampling := sim.WithSampling(sim.SamplingConfig{IntervalLen: 4_000, Clusters: 2, Warmup: 1_000})
-	plain := sim.PointOpts{sim.WithMode(sim.CI), sim.WithInstrBudget(24_000)}
-	sampled := append(sim.PointOpts{sampling}, plain...)
+	plain := []sim.Option{sim.WithMode(sim.CI), sim.WithInstrBudget(24_000)}
+	sampled := append([]sim.Option{sampling}, plain...)
 
 	sess, err := sim.New(w, sampled...)
 	if err != nil {
@@ -174,7 +186,7 @@ func TestSetHonoursSessionOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := sim.NewSet(w, plain, sampled)
+	set, err := sim.NewSet(points(w, plain, sampled)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +202,7 @@ func TestSetHonoursSessionOptions(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "point.ckpt")
-	set, err = sim.NewSet(w, plain, append(sim.PointOpts{sim.WithCheckpoint(path, 0)}, plain...))
+	set, err = sim.NewSet(points(w, plain, append([]sim.Option{sim.WithCheckpoint(path, 0)}, plain...))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,12 +218,12 @@ func TestSetHonoursSessionOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats != sessionStats(t, w, []sim.PointOpts{plain})[0] {
+	if res.Stats != sessionStats(t, points(w, plain))[0] {
 		t.Error("resumed checkpoint point diverges from a plain run")
 	}
 
 	var obs countingObserver
-	if _, err := sim.NewSet(w, sim.PointOpts{sampling, sim.WithObserver(&obs, 0)}); err == nil {
+	if _, err := sim.NewSet(points(w, []sim.Option{sampling, sim.WithObserver(&obs, 0)})...); err == nil {
 		t.Error("WithSampling+WithObserver must fail NewSet as it fails New")
 	}
 }
@@ -220,7 +232,7 @@ func TestSetHonoursSessionOptions(t *testing.T) {
 // order.
 func TestSetRun(t *testing.T) {
 	w := mustLoad(t, "mcf")
-	set, err := sim.NewSet(w, sweepPoints(4_000)...)
+	set, err := sim.NewSet(sweepPoints(w, 4_000)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +256,10 @@ func TestSetRun(t *testing.T) {
 func TestSweepObserverPoint(t *testing.T) {
 	w := mustLoad(t, "gcc")
 	var obs countingObserver
-	points := []sim.PointOpts{
-		{sim.WithMode(sim.CI), sim.WithInstrBudget(5_000)},
-		{sim.WithMode(sim.CI), sim.WithInstrBudget(5_000), sim.WithObserver(&obs, 1_000)},
-	}
-	set, err := sim.NewSet(w, points...)
+	set, err := sim.NewSet(points(w,
+		[]sim.Option{sim.WithMode(sim.CI), sim.WithInstrBudget(5_000)},
+		[]sim.Option{sim.WithMode(sim.CI), sim.WithInstrBudget(5_000), sim.WithObserver(&obs, 1_000)},
+	)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,15 +272,19 @@ func TestSweepObserverPoint(t *testing.T) {
 	}
 }
 
-// TestSweepCancellation cancels a sweep up front: every point must
-// deliver the context error, running points with partial well-formed
-// results.
+// TestSweepCancellation cancels a sweep over two workloads up front:
+// every point must deliver the context error, running points with
+// partial well-formed results, the channel must close and the sweep's
+// goroutines must exit.
 func TestSweepCancellation(t *testing.T) {
-	w := mustLoad(t, "gcc")
-	set, err := sim.NewSet(w, sweepPoints(0)...) // no budget: runs to halt
+	before := goroutines()
+	// No budget: the points run to halt unless cut short.
+	pts := append(sweepPoints(mustLoad(t, "gcc"), 0), sweepPoints(mustLoad(t, "mcf"), 0)...)
+	set, err := sim.NewSet(pts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	set.Workers = 2
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	seen := 0
@@ -285,13 +300,89 @@ func TestSweepCancellation(t *testing.T) {
 	if seen != set.Len() {
 		t.Errorf("%d points reported, want %d", seen, set.Len())
 	}
+	if after := goroutines(); after > before {
+		t.Errorf("goroutines leaked after a cancelled sweep: %d -> %d", before, after)
+	}
+}
+
+// gateObserver holds its session inside the run at its first progress
+// report until the test releases it, counting how many sessions are
+// held at once.
+type gateObserver struct {
+	inside, peak *atomic.Int64
+	entered      chan<- struct{}
+	release      <-chan struct{}
+	held         bool
+}
+
+func (o *gateObserver) OnCommitBatch(cycle uint64, committed, reused int) {}
+func (o *gateObserver) OnCycleJump(from, to uint64)                       {}
+func (o *gateObserver) OnProgress(cycle, committed uint64) {
+	if o.held {
+		return
+	}
+	o.held = true
+	n := o.inside.Add(1)
+	for p := o.peak.Load(); n > p && !o.peak.CompareAndSwap(p, n); p = o.peak.Load() {
+	}
+	o.entered <- struct{}{}
+	<-o.release
+	o.inside.Add(-1)
+}
+
+// TestSweepWorkersBound proves Workers bounds the simulations in
+// flight: k workers over solo points that each block inside their run
+// never hold more than k points there at once, and the sweep still
+// completes by releasing them one at a time.
+func TestSweepWorkersBound(t *testing.T) {
+	const n = 6
+	ws := []*sim.Workload{mustLoad(t, "gcc"), mustLoad(t, "gzip")}
+	for _, k := range []int{1, 2} {
+		var inside, peak atomic.Int64
+		entered := make(chan struct{}, n)
+		release := make(chan struct{})
+		pts := make([]sim.Point, n)
+		for i := range pts {
+			obs := &gateObserver{inside: &inside, peak: &peak, entered: entered, release: release}
+			pts[i] = sim.Point{Workload: ws[i%len(ws)],
+				Options: []sim.Option{sim.WithInstrBudget(3_000), sim.WithObserver(obs, 500)}}
+		}
+		set, err := sim.NewSet(pts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set.Workers = k
+		out := set.Sweep(context.Background())
+		// Wait until every worker holds a point, then free one. The
+		// pause before each release gives a bound that let more than k
+		// points run the time to show it; a correct bound passes
+		// whatever the timing.
+		held := 0
+		for released := 0; released < n; released++ {
+			for held < k && held < n-released {
+				<-entered
+				held++
+			}
+			time.Sleep(5 * time.Millisecond)
+			release <- struct{}{}
+			held--
+		}
+		for pr := range out {
+			if pr.Err != nil {
+				t.Errorf("workers=%d point %d: %v", k, pr.Index, pr.Err)
+			}
+		}
+		if got := peak.Load(); got != int64(k) {
+			t.Errorf("workers=%d: %d points inside a run at once, want %d", k, got, k)
+		}
+	}
 }
 
 // TestSetSingleUse proves a second Sweep yields every point an error
 // wrapping ErrSessionEnded.
 func TestSetSingleUse(t *testing.T) {
 	w := mustLoad(t, "gcc")
-	set, err := sim.NewSet(w, sim.PointOpts{sim.WithInstrBudget(1_000)})
+	set, err := sim.NewSet(points(w, []sim.Option{sim.WithInstrBudget(1_000)})...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,14 +18,16 @@
 // cycle boundaries (returning partial, well-defined statistics), and
 // can be driven incrementally with Step for reinforcement-learning or
 // analysis loops. Observers stream batched progress taps without
-// perturbing results. Batch runs many sessions under one concurrency
-// bound and streams their Results over a channel.
+// perturbing results. A Set runs many configuration points, over one
+// workload or several, under one concurrency bound and streams their
+// Results over a channel.
 package sim
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"time"
 
 	"civect/internal/core"
@@ -153,6 +155,37 @@ const NumLogical = isa.NumLogical
 // this sentinel.
 var ErrSessionEnded = errors.New("sim: session has ended")
 
+// PanicError is the error New, Resume and Session.Run return when
+// building or running a session panicked (for example in a
+// user-supplied Observer hook): the panic is recovered inside the
+// façade so one bad session cannot crash the process or the other
+// sessions sharing it, such as the points of a Set.
+type PanicError struct {
+	// Value is the recovered panic value.
+	Value any
+	// Stack is the panicking goroutine's stack trace, captured at
+	// recovery.
+	Stack []byte
+}
+
+// Error renders the panic value; the full stack is available via Stack.
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("sim: session panicked: %v", e.Value)
+}
+
+// recoverPanic is deferred by every function that builds or runs a
+// session, which name their error result err: it turns a panic into a
+// *PanicError stored in *err, and seals s (when non-nil) so a session
+// whose run panicked cannot be driven further.
+func recoverPanic(s *Session, err *error) {
+	if v := recover(); v != nil {
+		*err = &PanicError{Value: v, Stack: debug.Stack()}
+		if s != nil {
+			s.sealed = fmt.Errorf("%w: %v", ErrSessionEnded, *err)
+		}
+	}
+}
+
 // Session is one configured simulation: a processor built over a
 // workload, ready to run to completion (Run) or be driven
 // incrementally (Step). Sessions are single-use — once the simulation
@@ -185,7 +218,8 @@ type Session struct {
 // New builds a session running workload w under the given options,
 // validating everything eagerly: a nil or unknown workload, an invalid
 // configuration or a malformed program all surface here as errors, so
-// a session that constructs is guaranteed runnable.
+// a session that constructs is guaranteed runnable. A panic while
+// building the processor is returned as a *PanicError.
 //
 // With no options the session simulates the paper's Table 1 machine in
 // CI mode (the proposed mechanism) with no instruction budget.
@@ -201,8 +235,10 @@ func New(w *Workload, opts ...Option) (*Session, error) {
 }
 
 // newSession builds the session New describes from resolved settings;
-// a Set builds each of its simulations through it too.
-func newSession(w *Workload, st settings) (*Session, error) {
+// a Set builds each of its simulations through it too. A panic while
+// building is returned as a *PanicError.
+func newSession(w *Workload, st settings) (_ *Session, err error) {
+	defer recoverPanic(nil, &err)
 	p, err := core.New(st.cfg, w.prog, w.newMem())
 	if err != nil {
 		return nil, err
@@ -259,9 +295,12 @@ func (s *Session) closeTrace() error {
 // an expired deadline stops the run at the next cycle boundary (which
 // is fast-forward-safe — never inside a jump). On cancellation Run
 // returns the partial Result accumulated so far together with
-// ctx.Err(); on success the Result is complete and the error nil. The
-// session is sealed either way.
-func (s *Session) Run(ctx context.Context) (*Result, error) {
+// ctx.Err(); on success the Result is complete and the error nil. A
+// panic during the run, including one raised by an Observer hook, is
+// returned as a *PanicError with a nil Result. The session is sealed
+// either way.
+func (s *Session) Run(ctx context.Context) (_ *Result, err error) {
+	defer recoverPanic(s, &err)
 	if s.sealed != nil {
 		return nil, s.sealed
 	}

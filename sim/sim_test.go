@@ -3,7 +3,6 @@ package sim_test
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 
 	"civect/internal/core"
@@ -240,60 +239,5 @@ func TestEnginesBitIdentical(t *testing.T) {
 		if res.Stats != ref.Stats {
 			t.Errorf("engine %v stats diverge from %v", e, sim.Engines()[0])
 		}
-	}
-}
-
-func TestBatchStream(t *testing.T) {
-	b := sim.NewBatch(2)
-	var jobs []sim.Job
-	for _, name := range []string{"gcc", "gzip", "eon", "vpr"} {
-		jobs = append(jobs, sim.Job{
-			Workload: name,
-			Options:  []sim.Option{sim.WithMode(sim.CI), sim.WithInstrBudget(4_000)},
-			Tag:      "t-" + name,
-		})
-	}
-	jobs = append(jobs, sim.Job{Workload: "nosuch"})
-	seen := map[string]bool{}
-	for r := range b.Stream(context.Background(), jobs) {
-		if r.Job.Workload == "nosuch" {
-			if r.Err == nil {
-				t.Error("unknown workload job must fail")
-			}
-			continue
-		}
-		if r.Err != nil {
-			t.Errorf("%s: %v", r.Job.Workload, r.Err)
-			continue
-		}
-		if r.Result.Stats.Committed < 4_000 {
-			t.Errorf("%s: committed %d below budget", r.Job.Workload, r.Result.Stats.Committed)
-		}
-		if !strings.HasPrefix(r.Job.Tag, "t-") {
-			t.Errorf("tag lost: %q", r.Job.Tag)
-		}
-		seen[r.Job.Workload] = true
-	}
-	if len(seen) != 4 {
-		t.Errorf("streamed %d distinct results, want 4", len(seen))
-	}
-	if got := b.MaxConcurrent(); got > 2 {
-		t.Errorf("batch of 2 workers observed %d in flight", got)
-	}
-}
-
-func TestBatchSerializes(t *testing.T) {
-	b := sim.NewBatch(1)
-	var jobs []sim.Job
-	for _, name := range []string{"gcc", "gzip", "eon"} {
-		jobs = append(jobs, sim.Job{Workload: name, Options: []sim.Option{sim.WithInstrBudget(3_000)}})
-	}
-	for r := range b.Stream(context.Background(), jobs) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	}
-	if got := b.MaxConcurrent(); got != 1 {
-		t.Errorf("one-worker batch observed %d in flight", got)
 	}
 }

@@ -135,6 +135,20 @@ func (w *Workload) SetWord(addr, value uint64) {
 	w.base.Write64(addr, value)
 }
 
+// imageKey identifies the program and initial data image a session
+// over a workload starts from; a Set coalesces points on it.
+type imageKey struct {
+	prog  *isa.Program
+	base  *mem.Memory
+	bench *workload.Benchmark
+}
+
+// imageKey returns w's program and image identity. Two Load calls of
+// one name share the generated program and pristine image, so their
+// keys are equal; a Custom workload, or one changed by SetWord, owns a
+// private image and so a key of its own.
+func (w *Workload) imageKey() imageKey { return imageKey{w.prog, w.base, w.bench} }
+
 // newMem returns a fresh copy of the initial data image for one
 // session.
 func (w *Workload) newMem() *mem.Memory {
