@@ -1,7 +1,7 @@
 // Command ciserve runs the civect simulation-as-a-service daemon: an
-// HTTP API (internal/serve) that accepts simulation jobs as JSON,
-// streams progress over SSE, and serves results — with backpressure,
-// a circuit breaker, idempotent replay and graceful drain built in.
+// HTTP API (internal/serve) that accepts simulation jobs as JSON, runs
+// each as one session, streams progress over SSE, and serves results —
+// with a bounded queue, idempotent replay and graceful drain built in.
 //
 // Usage:
 //
@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"civect/internal/serve"
-	"civect/internal/serve/faultinject"
 )
 
 func main() {
@@ -46,10 +45,6 @@ func run() int {
 		"how long in-flight jobs get to finish on SIGTERM before being checkpointed")
 	traceDir := flag.String("trace-dir", "", "directory for per-job cycle-trace journal artifacts (empty = tracing disabled)")
 	ckptDir := flag.String("ckpt-dir", "", "directory for resumable-job checkpoints (empty = checkpoint_key disabled)")
-	heapLimit := flag.Uint64("heap-limit", 0, "circuit breaker: live-heap bytes watermark (0 = disabled)")
-	queueWait := flag.Duration("queue-wait-limit", 0, "circuit breaker: queue-wait watermark (0 = disabled)")
-	failureLimit := flag.Int("failure-limit", 0, "circuit breaker: consecutive job failures watermark (0 = disabled)")
-	faults := flag.String("faults", "", `deterministic fault-injection plan, e.g. "seed=7,panic=0.05,slow=0.1:8ms,cancel=0.02,tracefail=0.5" (chaos drills only)`)
 	doctor := flag.Bool("doctor", false, "run the preflight checks, print them, and exit")
 	flag.Parse()
 
@@ -61,21 +56,7 @@ func run() int {
 		DrainTimeout:  *drainTimeout,
 		TraceDir:      *traceDir,
 		CheckpointDir: *ckptDir,
-		Breaker: serve.BreakerConfig{
-			HeapLimitBytes: *heapLimit,
-			QueueWaitLimit: *queueWait,
-			FailureLimit:   *failureLimit,
-		},
-		Logf: logf,
-	}
-	if *faults != "" {
-		plan, err := faultinject.ParsePlan(*faults)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ciserve: -faults: %v\n", err)
-			return 2
-		}
-		cfg.Faults = plan
-		logf("fault injection armed: %s", *faults)
+		Logf:          logf,
 	}
 
 	// Preflight before the listener opens: a daemon that cannot load

@@ -46,9 +46,8 @@ var Allowlist = map[string][]string{
 	"civect/cmd/cimerge": {"civect/internal/sweep"},
 	// ciserve is the simulation-as-a-service daemon: its HTTP, queueing
 	// and drain machinery lives in internal/serve, which itself runs
-	// every simulation through sim. The fault-injection plan parser
-	// rides along for the -faults flag.
-	"civect/cmd/ciserve": {"civect/internal/serve", "civect/internal/serve/faultinject"},
+	// every simulation through sim.
+	"civect/cmd/ciserve": {"civect/internal/serve"},
 	// citrace records through sim like every other command; the
 	// exception covers the journal reader/replay/diff side, which is
 	// offline tooling with no simulation to construct.

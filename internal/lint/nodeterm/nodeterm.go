@@ -32,12 +32,12 @@
 // CRC-sealed and diffed across runs) — whose outputs must be
 // byte-identical across runs, shards and machines. The service
 // layer (civect/internal/serve and the ciserve daemon over it) is
-// deliberately NOT in the set: timeouts, retry backoff, drain
-// deadlines and selects racing client connections against timers are
-// what a daemon is made of. Determinism of simulation *results* is
-// unaffected — serve only orchestrates sessions through civect/sim,
-// and its chaos test asserts byte-identical statistics under
-// concurrency and fault injection. The fixtures under
+// deliberately NOT in the set: uptime clocks, drain deadlines and
+// selects racing client connections against timers are what a daemon
+// is made of. Determinism of simulation *results* is unaffected —
+// serve only orchestrates sessions through civect/sim, and its
+// concurrency test asserts byte-identical statistics for hundreds of
+// concurrent jobs. The fixtures under
 // testdata/src/civect/internal/{serve,core} pin this boundary: the
 // same constructs pass unflagged in serve and are diagnosed in core.
 package nodeterm

@@ -1,8 +1,8 @@
 // Package serve mirrors civect/internal/serve's position in the
 // repository: the simulation-as-a-service daemon sits deliberately
 // OUTSIDE the nodeterm default package set, because a server is
-// wall-clock territory by nature — timeouts, retry backoff, drain
-// deadlines and racing selects over client connections are its job.
+// wall-clock territory by nature — timeouts, drain deadlines and
+// racing selects over client connections are its job.
 // Nothing here carries a want comment: under the default -nodeterm.pkgs
 // every one of these constructs must pass unflagged.
 package serve

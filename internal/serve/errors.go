@@ -4,52 +4,31 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
-
-	"civect/sim"
 )
 
 // Class buckets every failure the daemon can see into the error
-// taxonomy docs/SERVICE.md documents. The class decides both the HTTP
-// status a failure surfaces as and whether the job is retried.
+// taxonomy docs/SERVICE.md documents. The class decides the HTTP
+// status a failure surfaces as.
 type Class string
 
 const (
 	// ClassBadRequest marks errors that are the client's fault — a
 	// malformed spec, an unknown workload, an out-of-range parameter.
-	// Never retried; surfaces as HTTP 400 at submission.
+	// Surfaces as HTTP 400 at submission.
 	ClassBadRequest Class = "bad_request"
-	// ClassTransient marks errors that plausibly would not recur on a
-	// retry: a recovered worker panic, a trace-journal write failure, an
-	// injected fault. Retried per the server's RetryPolicy; a job whose
-	// attempts are exhausted fails with this class.
+	// ClassTransient marks the admission answers that say "try again
+	// shortly": a full queue (429) and a draining server (503), both
+	// carrying Retry-After. No job ever fails with it: the simulator is
+	// deterministic, so a job that failed once fails the same way again.
 	ClassTransient Class = "transient"
-	// ClassCanceled marks runs cut short deliberately: a client DELETE,
-	// an injected mid-job cancel, or a drain deadline. Never retried;
-	// the job keeps its partial result.
+	// ClassCanceled marks runs cut short deliberately: a client DELETE
+	// or a drain deadline. The job keeps its partial result.
 	ClassCanceled Class = "canceled"
-	// ClassFatal marks everything else: bugs and unrecoverable internal
-	// failures. Never retried; surfaces as HTTP 500 on the job.
+	// ClassFatal marks everything else: a simulator error or recovered
+	// panic, a trace or checkpoint I/O error, any unidentified failure.
+	// The job fails with it.
 	ClassFatal Class = "fatal"
 )
-
-// transientError marks a wrapped error retryable.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient implements the marker interface Classify recognizes.
-func (e *transientError) Transient() bool { return true }
-
-// MarkTransient wraps err so Classify returns ClassTransient for it
-// (nil stays nil).
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err}
-}
 
 // badRequestError marks a wrapped error as the client's fault.
 type badRequestError struct{ err error }
@@ -73,11 +52,11 @@ func badRequestf(format string, args ...any) error {
 	return markBadRequest(fmt.Errorf(format, args...))
 }
 
-// Classify maps an error onto its Class. Explicit markers win; then
-// recovered panics and context cancellations are recognized by type;
-// everything unidentified is fatal, the conservative default (an
-// unknown failure must not be retried blindly, and must not be blamed
-// on the client).
+// Classify maps a job or admission error onto its Class: the
+// bad-request marker wins, context cancellations are canceled, and
+// everything else — recovered panics and I/O errors included — is
+// fatal, the conservative default (an unknown failure must not be
+// blamed on the client).
 func Classify(err error) Class {
 	if err == nil {
 		return ""
@@ -86,57 +65,8 @@ func Classify(err error) Class {
 	if errors.As(err, &br) && br.BadRequest() {
 		return ClassBadRequest
 	}
-	var tr interface{ Transient() bool }
-	if errors.As(err, &tr) && tr.Transient() {
-		return ClassTransient
-	}
-	var pe *sim.PanicError
-	if errors.As(err, &pe) {
-		// A panic in one attempt is isolated to that attempt; the next
-		// one starts from a fresh session, so retrying is sound.
-		return ClassTransient
-	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return ClassCanceled
 	}
 	return ClassFatal
-}
-
-// RetryPolicy bounds the transient-error retry loop.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries per job, first included
-	// (minimum 1).
-	MaxAttempts int
-	// Backoff returns the delay before retry attempt n (n >= 2). Nil
-	// uses DefaultBackoff.
-	Backoff func(attempt int) time.Duration
-}
-
-// DefaultRetryPolicy tries three times with short exponential backoff —
-// enough to ride out one-off faults without holding a worker slot
-// hostage.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 3, Backoff: DefaultBackoff}
-}
-
-// DefaultBackoff is 10ms doubling per attempt: 10ms before attempt 2,
-// 20ms before attempt 3, ...
-func DefaultBackoff(attempt int) time.Duration {
-	d := 10 * time.Millisecond
-	for i := 2; i < attempt; i++ {
-		d *= 2
-	}
-	return d
-}
-
-// shouldRetry reports whether a failed attempt is followed by another,
-// and the delay before it.
-func (p RetryPolicy) shouldRetry(class Class, attempt int) (time.Duration, bool) {
-	if class != ClassTransient || attempt >= p.MaxAttempts {
-		return 0, false
-	}
-	if p.Backoff == nil {
-		return DefaultBackoff(attempt + 1), true
-	}
-	return p.Backoff(attempt + 1), true
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"civect/sim"
 )
@@ -17,11 +16,10 @@ func TestClassify(t *testing.T) {
 		want Class
 	}{
 		{"nil", nil, ""},
-		{"transient-marker", MarkTransient(errors.New("blip")), ClassTransient},
-		{"transient-wrapped", fmt.Errorf("outer: %w", MarkTransient(errors.New("blip"))), ClassTransient},
 		{"bad-request-marker", badRequestf("no such knob"), ClassBadRequest},
-		{"panic", &sim.PanicError{Value: "boom"}, ClassTransient},
-		{"panic-wrapped", fmt.Errorf("job: %w", &sim.PanicError{Value: "boom"}), ClassTransient},
+		{"bad-request-wrapped", fmt.Errorf("outer: %w", badRequestf("no such knob")), ClassBadRequest},
+		{"panic", &sim.PanicError{Value: "boom"}, ClassFatal},
+		{"panic-wrapped", fmt.Errorf("job: %w", &sim.PanicError{Value: "boom"}), ClassFatal},
 		{"canceled", context.Canceled, ClassCanceled},
 		{"deadline", fmt.Errorf("run: %w", context.DeadlineExceeded), ClassCanceled},
 		{"unknown", errors.New("mystery"), ClassFatal},
@@ -29,24 +27,6 @@ func TestClassify(t *testing.T) {
 	for _, tc := range cases {
 		if got := Classify(tc.err); got != tc.want {
 			t.Errorf("%s: Classify = %q, want %q", tc.name, got, tc.want)
-		}
-	}
-}
-
-func TestRetryPolicy(t *testing.T) {
-	p := DefaultRetryPolicy()
-	if d, retry := p.shouldRetry(ClassTransient, 1); !retry || d != 10*time.Millisecond {
-		t.Errorf("attempt 1 transient: retry=%v backoff=%v, want retry after 10ms", retry, d)
-	}
-	if d, retry := p.shouldRetry(ClassTransient, 2); !retry || d != 20*time.Millisecond {
-		t.Errorf("attempt 2 transient: retry=%v backoff=%v, want retry after 20ms", retry, d)
-	}
-	if _, retry := p.shouldRetry(ClassTransient, 3); retry {
-		t.Error("attempt 3 of 3 retried past MaxAttempts")
-	}
-	for _, class := range []Class{ClassBadRequest, ClassCanceled, ClassFatal} {
-		if _, retry := p.shouldRetry(class, 1); retry {
-			t.Errorf("%s retried; only transients should retry", class)
 		}
 	}
 }

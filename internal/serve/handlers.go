@@ -3,9 +3,11 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
-	"strconv"
 	"time"
+
+	"civect/sim"
 )
 
 // errQueueFull is the backpressure signal: the bounded queue has no
@@ -14,14 +16,6 @@ var errQueueFull = errors.New("serve: job queue full")
 
 // errDraining refuses submissions during graceful shutdown (HTTP 503).
 var errDraining = errors.New("serve: draining, not accepting new jobs")
-
-// overloadedError is the circuit breaker's shed signal (HTTP 503).
-type overloadedError struct {
-	reason     string
-	retryAfter time.Duration
-}
-
-func (e *overloadedError) Error() string { return "serve: overloaded: " + e.reason }
 
 // maxBodyBytes bounds request bodies: a job spec is a few hundred
 // bytes, so anything above a megabyte is hostile or broken.
@@ -64,25 +58,21 @@ func writeError(w http.ResponseWriter, status int, class Class, msg string) {
 	writeJSON(w, status, errorBody{Error: msg, Class: class})
 }
 
-// retryAfterHeader renders a Retry-After value in whole seconds,
-// rounded up so "retry after 300ms" does not read as "now".
-func retryAfterHeader(d time.Duration) string {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
+// readSpec decodes one POST /v1/jobs body, rejecting unknown fields,
+// and resolves it against cfg. Every error is ClassBadRequest.
+func readSpec(body io.Reader, cfg *Config) (JobSpec, *sim.Workload, []sim.Option, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return spec, nil, nil, badRequestf("invalid job spec: %v", err)
 	}
-	return strconv.FormatInt(secs, 10)
+	wl, opts, err := spec.resolve(cfg)
+	return spec, wl, opts, err
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, ClassBadRequest, "invalid job spec: "+err.Error())
-		return
-	}
-	wl, opts, err := spec.resolve(&s.cfg)
+	spec, wl, opts, err := readSpec(http.MaxBytesReader(w, r.Body, maxBodyBytes), &s.cfg)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ClassBadRequest, err.Error())
 		return
@@ -99,17 +89,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, status, j.View())
 	case errors.Is(err, errQueueFull):
-		w.Header().Set("Retry-After", retryAfterHeader(time.Second))
+		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, ClassTransient, err.Error())
 	case errors.Is(err, errDraining):
+		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, ClassTransient, err.Error())
 	default:
-		var oe *overloadedError
-		if errors.As(err, &oe) {
-			w.Header().Set("Retry-After", retryAfterHeader(oe.retryAfter))
-			writeError(w, http.StatusServiceUnavailable, ClassTransient, err.Error())
-			return
-		}
 		writeError(w, http.StatusInternalServerError, ClassFatal, err.Error())
 	}
 }
@@ -145,58 +130,43 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 // Health is the /healthz payload.
 type Health struct {
-	// Status is ok, draining or overloaded.
+	// Status is ok or draining.
 	Status string `json:"status"`
 	// Queue and workers occupancy.
 	QueueLen int `json:"queue_len"`
 	QueueCap int `json:"queue_cap"`
 	Inflight int `json:"inflight"`
 	Workers  int `json:"workers"`
-	// Breaker state and, when tripped, the watermark that did it.
-	Breaker       BreakerState `json:"breaker"`
-	BreakerReason string       `json:"breaker_reason,omitempty"`
 	// Counters since start.
-	Submitted       uint64 `json:"submitted"`
-	Replayed        uint64 `json:"replayed"`
-	Done            uint64 `json:"done"`
-	Failed          uint64 `json:"failed"`
-	Canceled        uint64 `json:"canceled"`
-	Retries         uint64 `json:"retries"`
-	PanicsRecovered uint64 `json:"panics_recovered"`
-	ShedQueueFull   uint64 `json:"shed_queue_full"`
-	ShedBreaker     uint64 `json:"shed_breaker"`
-	ShedDraining    uint64 `json:"shed_draining"`
+	Submitted     uint64 `json:"submitted"`
+	Replayed      uint64 `json:"replayed"`
+	Done          uint64 `json:"done"`
+	Failed        uint64 `json:"failed"`
+	Canceled      uint64 `json:"canceled"`
+	ShedQueueFull uint64 `json:"shed_queue_full"`
+	ShedDraining  uint64 `json:"shed_draining"`
 	// UptimeSeconds since New.
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
 // health snapshots the server for /healthz (and tests).
 func (s *Server) health() (Health, int) {
-	bstate, breason := s.breaker.Snapshot()
 	h := Health{
 		Status:   "ok",
 		QueueLen: len(s.queue), QueueCap: s.cfg.QueueDepth,
 		Inflight: int(s.inflight.Load()), Workers: s.cfg.Workers,
-		Breaker: bstate, BreakerReason: breason,
 		Submitted: s.metrics.Submitted.Load(), Replayed: s.metrics.Replayed.Load(),
 		Done: s.metrics.Done.Load(), Failed: s.metrics.Failed.Load(),
-		Canceled: s.metrics.Canceled.Load(), Retries: s.metrics.Retries.Load(),
-		PanicsRecovered: s.metrics.PanicsRecovered.Load(),
-		ShedQueueFull:   s.metrics.ShedQueueFull.Load(),
-		ShedBreaker:     s.metrics.ShedBreaker.Load(),
-		ShedDraining:    s.metrics.ShedDraining.Load(),
-		UptimeSeconds:   time.Since(s.started).Seconds(),
+		Canceled:      s.metrics.Canceled.Load(),
+		ShedQueueFull: s.metrics.ShedQueueFull.Load(),
+		ShedDraining:  s.metrics.ShedDraining.Load(),
+		UptimeSeconds: time.Since(s.started).Seconds(),
 	}
-	status := http.StatusOK
-	switch {
-	case s.Draining():
+	if s.Draining() {
 		h.Status = "draining"
-		status = http.StatusServiceUnavailable
-	case bstate == BreakerOpen:
-		h.Status = "overloaded"
-		status = http.StatusServiceUnavailable
+		return h, http.StatusServiceUnavailable
 	}
-	return h, status
+	return h, http.StatusOK
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

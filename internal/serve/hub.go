@@ -41,22 +41,20 @@ type Progress struct {
 	CommitBatches uint64 `json:"commit_batches"`
 	// Jumps counts fast-forward cycle jumps the engine took.
 	Jumps uint64 `json:"jumps"`
-	// Attempt is the job attempt these figures belong to; retries reset
-	// the counters with a fresh session.
-	Attempt int `json:"attempt"`
 }
 
 // hub fans a job's events out to any number of subscribers, decoupling
 // the worker (which must never block on a slow client) from SSE
 // handlers. A bounded history ring lets late subscribers replay what
-// they missed; a subscriber that falls further behind than its buffer
-// is told so with EventLagged rather than silently losing events or
-// stalling the publisher.
+// they missed; a subscriber that falls further behind than its buffer,
+// or asks to replay events the ring has already evicted, is told so
+// with EventLagged rather than silently losing events or stalling the
+// publisher.
 type hub struct {
 	mu      sync.Mutex
 	nextSeq uint64
 	// history is a bounded ring of the most recent events (cap
-	// historyCap); histStart is the Seq of its first entry.
+	// historyCap), in Seq order.
 	history []Event
 	subs    map[*subscriber]struct{}
 	closed  bool
@@ -101,10 +99,11 @@ func (h *hub) publish(ev Event) {
 	h.history = append(h.history, ev)
 	for s := range h.subs {
 		if s.dropped > 0 {
-			// Try to tell the subscriber about the gap first; until that
-			// fits, keep counting.
+			// Try to tell the subscriber about the gap first, under the
+			// last dropped seq (as a replay past the ring does); until
+			// that fits, keep counting.
 			select {
-			case s.ch <- Event{Seq: ev.Seq, Type: EventLagged, Data: s.dropped}:
+			case s.ch <- Event{Seq: ev.Seq - 1, Type: EventLagged, Data: s.dropped}:
 				s.dropped = 0
 			default:
 				s.dropped++

@@ -74,9 +74,14 @@ func TestHubSlowSubscriberLags(t *testing.T) {
 	if dropped := ev.Data.(uint64); dropped != 10 {
 		t.Errorf("lagged event reports %d dropped, want 10", dropped)
 	}
+	// The lagged event's id is the last dropped seq, so a client that
+	// reconnects with it as Last-Event-ID misses nothing more.
+	if ev.Seq != subBuffer+10 {
+		t.Errorf("lagged event seq = %d, want the last dropped seq %d", ev.Seq, subBuffer+10)
+	}
 	ev = <-sub.ch
-	if ev.Type != EventProgress || ev.Data != "after" {
-		t.Fatalf("event after the gap = %+v, want the fresh publish", ev)
+	if ev.Type != EventProgress || ev.Data != "after" || ev.Seq != subBuffer+11 {
+		t.Fatalf("event after the gap = %+v, want the fresh publish at seq %d", ev, subBuffer+11)
 	}
 }
 

@@ -19,16 +19,16 @@ type JobSpec struct {
 	Mode string `json:"mode,omitempty"`
 	// Engine is the simulation engine: fast-forward, event, naive.
 	Engine string `json:"engine,omitempty"`
-	// Ports is the L1D port count.
+	// Ports is the L1D port count (at most MaxPorts).
 	Ports int `json:"ports,omitempty"`
-	// Regs is the physical register file size (-1 requests the
-	// unbounded file, since 0 means "default").
+	// Regs is the physical register file size, at most MaxRegs (-1
+	// requests the unbounded file, since 0 means "default").
 	Regs int `json:"regs,omitempty"`
 	// Replicas per vectorized instruction.
 	Replicas int `json:"replicas,omitempty"`
 	// StridedPCs propagated per rename entry.
 	StridedPCs int `json:"strided_pcs,omitempty"`
-	// SpecMem positions (0 = none).
+	// SpecMem positions (0 = none; at most MaxSpecMem).
 	SpecMem int `json:"spec_mem,omitempty"`
 	// SpecMemLat is the speculative memory latency in cycles.
 	SpecMemLat int `json:"spec_mem_lat,omitempty"`
@@ -57,9 +57,8 @@ type JobSpec struct {
 }
 
 // resolve validates the spec against the server's limits and returns
-// the workload plus the session options every attempt of the job will
-// run under. All failures are ClassBadRequest: nothing here depends on
-// server state.
+// the workload plus the session options the job will run under. All
+// failures are ClassBadRequest: nothing here depends on server state.
 func (sp *JobSpec) resolve(cfg *Config) (*sim.Workload, []sim.Option, error) {
 	if sp.Workload == "" {
 		return nil, nil, badRequestf("missing workload")
@@ -88,8 +87,11 @@ func (sp *JobSpec) resolve(cfg *Config) (*sim.Workload, []sim.Option, error) {
 			sp.MaxInstr, cfg.MaxInstrPerJob)
 	}
 	ports := sp.Ports
-	if ports == 0 {
+	switch {
+	case ports == 0:
 		ports = 1
+	case ports < 0 || ports > MaxPorts:
+		return nil, nil, badRequestf("ports %d out of range [1, %d]", sp.Ports, MaxPorts)
 	}
 	regs := sp.Regs
 	switch {
@@ -99,6 +101,11 @@ func (sp *JobSpec) resolve(cfg *Config) (*sim.Workload, []sim.Option, error) {
 		regs = 0 // the unbounded file
 	case regs < -1:
 		return nil, nil, badRequestf("regs %d invalid (use -1 for the unbounded file)", sp.Regs)
+	case regs > MaxRegs:
+		return nil, nil, badRequestf("regs %d exceeds the ceiling %d", sp.Regs, MaxRegs)
+	}
+	if sp.SpecMem < 0 || sp.SpecMem > MaxSpecMem {
+		return nil, nil, badRequestf("spec_mem %d out of range [0, %d]", sp.SpecMem, MaxSpecMem)
 	}
 	opts := []sim.Option{
 		sim.WithMode(mode),
@@ -205,7 +212,6 @@ type Job struct {
 
 	mu        sync.Mutex
 	state     State
-	attempts  int
 	result    *sim.Result
 	err       error
 	errClass  Class
@@ -216,7 +222,7 @@ type Job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	// cancel aborts the running attempt's context; cancelRequested
+	// cancel aborts the running session's context; cancelRequested
 	// survives for jobs cancelled while still queued.
 	cancel          context.CancelFunc
 	cancelRequested bool
@@ -229,11 +235,10 @@ type Job struct {
 
 // View is the JSON rendering of a job, shared by every handler.
 type View struct {
-	ID       string  `json:"id"`
-	Key      string  `json:"idempotency_key,omitempty"`
-	Spec     JobSpec `json:"spec"`
-	State    State   `json:"state"`
-	Attempts int     `json:"attempts,omitempty"`
+	ID    string  `json:"id"`
+	Key   string  `json:"idempotency_key,omitempty"`
+	Spec  JobSpec `json:"spec"`
+	State State   `json:"state"`
 	// Result is present once the job finished; partial for canceled
 	// jobs that got far enough to checkpoint statistics.
 	Result *sim.Result `json:"result,omitempty"`
@@ -257,7 +262,7 @@ func (j *Job) View() View {
 	defer j.mu.Unlock()
 	v := View{
 		ID: j.ID, Key: j.Key, Spec: j.Spec, State: j.state,
-		Attempts: j.attempts, Result: j.result, TracePath: j.tracePath,
+		Result: j.result, TracePath: j.tracePath,
 		Resumed: j.resumed, SubmittedAt: j.submitted,
 	}
 	if j.err != nil {
@@ -285,22 +290,19 @@ func (j *Job) State() State {
 // state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// setRunning transitions queued -> running for a new attempt and
-// installs the attempt's cancel function. It reports false when the job
-// was cancelled while queued (or between attempts), in which case the
-// worker must finish it as canceled instead of running it.
-func (j *Job) setRunning(attempt int, cancel context.CancelFunc) bool {
+// setRunning transitions queued -> running and installs the session's
+// cancel function. It reports false when the job was cancelled while
+// queued, in which case the worker must finish it as canceled instead
+// of running it.
+func (j *Job) setRunning(cancel context.CancelFunc) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.cancelRequested {
 		return false
 	}
 	j.state = StateRunning
-	j.attempts = attempt
 	j.cancel = cancel
-	if j.started.IsZero() {
-		j.started = time.Now()
-	}
+	j.started = time.Now()
 	return true
 }
 
@@ -328,7 +330,7 @@ func (j *Job) finish(state State, res *sim.Result, err error, class Class) {
 	close(j.done)
 }
 
-// requestCancel asks the job to stop: a running attempt is cancelled
+// requestCancel asks the job to stop: a running session is cancelled
 // through its context, a queued job is marked so the worker finishes it
 // as canceled without running it. Reports whether the request did
 // anything (false for already-terminal jobs).

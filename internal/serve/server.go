@@ -3,18 +3,18 @@
 // JSON, runs them on a bounded worker pool over the public civect/sim
 // façade, streams progress over SSE, and serves the results.
 //
-// Production hardening is the point of the package, and every
-// mechanism is explicit:
+// Each job is exactly one session: queued → running → done | failed |
+// canceled. The simulator is deterministic, so a job that failed would
+// fail the same way again; nothing is retried. Around that:
 //
-//   - admission control: a bounded queue answers 429 + Retry-After
-//     when full, and a circuit breaker sheds load with 503 when
-//     memory, queue-wait or failure watermarks trip
+//   - admission: the whole spec is validated, within fixed size
+//     ceilings, before a job exists (400), and a bounded queue answers
+//     429 + Retry-After when full
 //   - idempotency: a submission carrying an Idempotency-Key replays
 //     the original job instead of re-simulating
 //   - error taxonomy: every failure is classified bad_request /
-//     transient / canceled / fatal; transients are retried with
-//     backoff, and a recovered worker panic is a per-job error, never
-//     a process crash
+//     transient / canceled / fatal; a recovered simulator panic fails
+//     its job, never the process
 //   - graceful drain: Drain stops admissions (503), lets in-flight
 //     jobs finish — or checkpoints their partial results at the drain
 //     deadline — and only then shuts the listener down
@@ -27,16 +27,13 @@
 //     atomically so the artifact directory never holds a truncated
 //     file
 //
-// Deterministic fault injection for all of the above lives in
-// serve/faultinject; the chaos test in this package drives it.
-//
 // The package deliberately lives outside the simulator's deterministic
 // core: it uses wall-clock time, timers and racing selects freely, and
 // is therefore excluded from the civet nodeterm analyzer's default
 // package set (see internal/lint/nodeterm). Determinism of simulation
 // *results* is untouched — the daemon only orchestrates sessions, and
-// the chaos test asserts byte-identical statistics under full
-// concurrency and fault load.
+// the concurrency test asserts byte-identical statistics for hundreds
+// of concurrent jobs.
 package serve
 
 import (
@@ -53,7 +50,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"civect/internal/serve/faultinject"
 	"civect/internal/trace"
 	"civect/sim"
 )
@@ -73,11 +69,6 @@ type Config struct {
 	// MaxInstrPerJob rejects specs whose budget exceeds it (default
 	// 50M): one client must not be able to park a worker for hours.
 	MaxInstrPerJob uint64
-	// Retry is the transient-failure retry policy (default 3 attempts,
-	// exponential backoff).
-	Retry RetryPolicy
-	// Breaker configures the load-shedding circuit breaker.
-	Breaker BreakerConfig
 	// TraceDir, when set, enables per-job cycle-trace journals: a job
 	// submitted with trace=true gets <TraceDir>/<jobID>.civt, written
 	// atomically on success.
@@ -95,13 +86,23 @@ type Config struct {
 	// DrainTimeout bounds how long Drain waits for in-flight jobs
 	// before cancelling them into partial results (default 30s).
 	DrainTimeout time.Duration
-	// Faults enables deterministic fault injection (tests and chaos
-	// drills only; nil in production).
-	Faults *faultinject.Plan
 	// Logf receives operational log lines (default log.Printf; tests
 	// inject t.Logf or a no-op).
 	Logf func(format string, args ...any)
 }
+
+// Fixed ceilings on the spec fields that size a session. Unlike
+// MaxInstrPerJob, which bounds a job's run time, these bound what
+// admission itself allocates: resolve builds a throwaway session, and
+// its register file, ports and speculative memory grow with the spec
+// (regs 1,000,000 allocates about 600 MB, spec_mem 100,000,000 about
+// 1.7 GB). The registry's largest configurations use 768 regs, 2 ports
+// and 768 spec-mem positions.
+const (
+	MaxRegs    = 4096
+	MaxPorts   = 16
+	MaxSpecMem = 4096
+)
 
 func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
@@ -115,9 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxInstrPerJob == 0 {
 		c.MaxInstrPerJob = 50_000_000
-	}
-	if c.Retry.MaxAttempts <= 0 {
-		c.Retry = DefaultRetryPolicy()
 	}
 	if c.ProgressEvery == 0 {
 		c.ProgressEvery = 25_000
@@ -134,16 +132,13 @@ func (c Config) withDefaults() Config {
 // Metrics are the server's monotonic operational counters, rendered in
 // /healthz. All fields are atomics; read them with Load.
 type Metrics struct {
-	Submitted       atomic.Uint64 // jobs admitted into the queue
-	Replayed        atomic.Uint64 // idempotent replays served
-	Done            atomic.Uint64 // jobs finished successfully
-	Failed          atomic.Uint64 // jobs finished failed
-	Canceled        atomic.Uint64 // jobs finished canceled
-	Retries         atomic.Uint64 // attempts beyond each job's first
-	PanicsRecovered atomic.Uint64 // worker panics turned into job errors
-	ShedQueueFull   atomic.Uint64 // submissions answered 429
-	ShedBreaker     atomic.Uint64 // submissions answered 503 (breaker)
-	ShedDraining    atomic.Uint64 // submissions answered 503 (drain)
+	Submitted     atomic.Uint64 // jobs admitted into the queue
+	Replayed      atomic.Uint64 // idempotent replays served
+	Done          atomic.Uint64 // jobs finished successfully
+	Failed        atomic.Uint64 // jobs finished failed
+	Canceled      atomic.Uint64 // jobs finished canceled
+	ShedQueueFull atomic.Uint64 // submissions answered 429
+	ShedDraining  atomic.Uint64 // submissions answered 503 (drain)
 }
 
 // Server is the daemon: a job registry, a bounded queue, a worker
@@ -170,7 +165,6 @@ type Server struct {
 	nextID atomic.Uint64
 
 	inflight atomic.Int64
-	breaker  *breaker
 	workerWG sync.WaitGroup
 	started  time.Time
 }
@@ -188,7 +182,6 @@ func New(cfg Config) *Server {
 		queue:      make(chan *Job, cfg.QueueDepth),
 		jobs:       make(map[string]*Job),
 		byKey:      make(map[string]*Job),
-		breaker:    newBreaker(cfg.Breaker, nil),
 		started:    time.Now(),
 	}
 	s.workerWG.Add(cfg.Workers)
@@ -213,12 +206,12 @@ func (s *Server) Draining() bool {
 }
 
 // submit runs the admission pipeline for one resolved job request:
-// drain gate, idempotency replay, breaker, then the bounded queue.
+// idempotency replay, drain gate, then the bounded queue.
 // The returned replayed flag distinguishes a fresh admission (201)
 // from an idempotent replay (200).
 func (s *Server) submit(spec JobSpec, key string, w *sim.Workload, opts []sim.Option) (j *Job, replayed bool, err error) {
 	// Idempotency first: replaying a known key must work even while
-	// draining or shedding — the client is asking about work already
+	// draining — the client is asking about work already
 	// admitted, not for new work.
 	if key != "" {
 		s.jobsMu.Lock()
@@ -228,11 +221,6 @@ func (s *Server) submit(spec JobSpec, key string, w *sim.Workload, opts []sim.Op
 			s.metrics.Replayed.Add(1)
 			return j, true, nil
 		}
-	}
-
-	if ok, reason, retryAfter := s.breaker.Allow(); !ok {
-		s.metrics.ShedBreaker.Add(1)
-		return nil, false, &overloadedError{reason: "circuit breaker open: " + reason, retryAfter: retryAfter}
 	}
 
 	s.admitMu.RLock()
@@ -323,99 +311,52 @@ func fileExists(path string) bool {
 	return err == nil
 }
 
-// runJob drives one job through the attempt/retry loop to a terminal
-// state.
+// runJob runs the job's one session to a terminal state.
 func (s *Server) runJob(j *Job) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 
-	s.breaker.ObserveQueueWait(time.Since(j.View().SubmittedAt))
-
 	if s.rootCtx.Err() != nil {
 		j.finish(StateCanceled, nil, errShutdown, ClassCanceled)
 		s.metrics.Canceled.Add(1)
-		s.breaker.ObserveResult(ClassCanceled)
+		return
+	}
+	ctx, cancel := context.WithCancel(s.rootCtx)
+	defer cancel()
+	if !j.setRunning(cancel) {
+		// Cancelled while queued.
+		j.finish(StateCanceled, nil, context.Canceled, ClassCanceled)
+		s.metrics.Canceled.Add(1)
 		return
 	}
 
-	for attempt := 1; ; attempt++ {
-		ctx, cancel := context.WithCancel(s.rootCtx)
-		if !j.setRunning(attempt, cancel) {
-			// Cancelled while queued (or between attempts).
-			cancel()
-			j.finish(StateCanceled, nil, context.Canceled, ClassCanceled)
-			s.metrics.Canceled.Add(1)
-			s.breaker.ObserveResult(ClassCanceled)
-			return
-		}
-		if attempt > 1 {
-			s.metrics.Retries.Add(1)
-		}
-
-		res, err := s.runAttempt(ctx, j, attempt)
-		cancel()
-		if err == nil {
-			j.finish(StateDone, res, nil, "")
-			s.metrics.Done.Add(1)
-			s.breaker.ObserveResult("")
-			return
-		}
-
-		class := Classify(err)
+	res, err := s.runSession(ctx, j)
+	switch class := Classify(err); class {
+	case "":
+		j.finish(StateDone, res, nil, "")
+		s.metrics.Done.Add(1)
+	case ClassCanceled:
+		// Keep the partial result: it is a well-formed checkpoint of
+		// everything simulated before the cut.
+		j.finish(StateCanceled, res, err, ClassCanceled)
+		s.metrics.Canceled.Add(1)
+	default:
 		var pe *sim.PanicError
 		if errors.As(err, &pe) {
-			s.metrics.PanicsRecovered.Add(1)
-			s.cfg.Logf("serve: job %s attempt %d panicked (recovered): %v", j.ID, attempt, pe.Value)
+			s.cfg.Logf("serve: job %s panicked (recovered): %v\n%s", j.ID, pe.Value, pe.Stack)
 		}
-		if class == ClassCanceled {
-			// Keep the partial result: it is a well-formed checkpoint of
-			// everything simulated before the cut.
-			j.finish(StateCanceled, res, err, ClassCanceled)
-			s.metrics.Canceled.Add(1)
-			s.breaker.ObserveResult(ClassCanceled)
-			return
-		}
-		if backoff, retry := s.cfg.Retry.shouldRetry(class, attempt); retry {
-			s.cfg.Logf("serve: job %s attempt %d failed (%s), retrying in %v: %v",
-				j.ID, attempt, class, backoff, err)
-			select {
-			case <-time.After(backoff):
-				continue
-			case <-s.rootCtx.Done():
-				j.finish(StateCanceled, nil, errShutdown, ClassCanceled)
-				s.metrics.Canceled.Add(1)
-				s.breaker.ObserveResult(ClassCanceled)
-				return
-			}
-		}
-		s.cfg.Logf("serve: job %s failed after %d attempt(s) (%s): %v", j.ID, attempt, class, err)
+		s.cfg.Logf("serve: job %s failed (%s): %v", j.ID, class, err)
 		j.finish(StateFailed, nil, err, class)
 		s.metrics.Failed.Add(1)
-		s.breaker.ObserveResult(class)
-		return
 	}
 }
 
-// runAttempt executes one session for the job, wiring in the progress
-// observer, the optional trace journal and the fault injector. On
+// runSession executes the job's session, wiring in the progress
+// observer and the optional trace journal and checkpoint. On
 // cancellation it returns the partial result with the context error.
-func (s *Server) runAttempt(ctx context.Context, j *Job, attempt int) (*sim.Result, error) {
-	d := s.cfg.Faults.Decide(j.Key+"/"+j.ID, attempt)
-	if d.Sleep > 0 {
-		select {
-		case <-time.After(d.Sleep):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-
-	ctx, cancelSelf := context.WithCancel(ctx)
-	defer cancelSelf()
-	obs := &jobObserver{job: j, attempt: attempt, panicAfter: d.PanicAfter,
-		cancelAfter: d.CancelAfter, cancel: cancelSelf}
-
+func (s *Server) runSession(ctx context.Context, j *Job) (*sim.Result, error) {
 	opts := append(append([]sim.Option(nil), j.opts...),
-		sim.WithObserver(obs, s.cfg.ProgressEvery))
+		sim.WithObserver(&jobObserver{job: j}, s.cfg.ProgressEvery))
 
 	// A checkpoint_key makes the job resumable: the session saves its
 	// state under the key when cut short, and an existing file under the
@@ -436,14 +377,10 @@ func (s *Server) runAttempt(ctx context.Context, j *Job, attempt int) (*sim.Resu
 		var err error
 		af, err = trace.NewAtomicFile(path)
 		if err != nil {
-			return nil, MarkTransient(err)
+			return nil, err
 		}
 		defer af.Abort() // no-op once committed
-		var tw traceWriter = af
-		if d.TraceFailAfter > 0 {
-			tw = &failingWriter{w: af, failAfter: d.TraceFailAfter}
-		}
-		opts = append(opts, sim.WithTrace(tw))
+		opts = append(opts, sim.WithTrace(af))
 		if j.Spec.TraceLevel != "" {
 			lvl, err := sim.ParseTraceLevel(j.Spec.TraceLevel)
 			if err != nil {
@@ -456,8 +393,7 @@ func (s *Server) runAttempt(ctx context.Context, j *Job, attempt int) (*sim.Resu
 		}
 	}
 
-	// New, Resume and Run return a panic, such as an injected observer
-	// fault, as a *sim.PanicError.
+	// New, Resume and Run return a simulator panic as a *sim.PanicError.
 	var sess *sim.Session
 	var err error
 	if ckptPath != "" && fileExists(ckptPath) {
@@ -471,17 +407,11 @@ func (s *Server) runAttempt(ctx context.Context, j *Job, attempt int) (*sim.Resu
 		res, err = sess.Run(ctx)
 	}
 	if err != nil {
-		if res != nil && !res.Partial {
-			// The simulation itself completed; only the journal's seal
-			// failed (sim.Session.Run's one complete-result error path).
-			// The artifact is gone but the work is repeatable: transient.
-			return nil, MarkTransient(err)
-		}
 		return res, err
 	}
 	if af != nil {
-		if cerr := af.Commit(); cerr != nil {
-			return nil, MarkTransient(cerr)
+		if err := af.Commit(); err != nil {
+			return nil, err
 		}
 		j.setTracePath(filepath.Join(s.cfg.TraceDir, j.ID+".civt"))
 	}
@@ -542,22 +472,15 @@ func (s *Server) Close() {
 	s.workerWG.Wait()
 }
 
-// jobObserver is the per-attempt sim.Observer: it coalesces the commit
+// jobObserver is the job's sim.Observer: it coalesces the commit
 // batch taps into counters and publishes a progress event at the
-// registered cadence. The fault injector's panic and mid-run-cancel
-// sites piggyback on it, so an injected worker panic originates
-// exactly where a buggy user observer would.
+// registered cadence.
 type jobObserver struct {
-	job     *Job
-	attempt int
+	job *Job
 
 	committedBatches uint64
 	reused           uint64
 	jumps            uint64
-
-	panicAfter  uint64
-	cancelAfter uint64
-	cancel      context.CancelFunc
 }
 
 // OnCommitBatch implements sim.Observer.
@@ -571,36 +494,8 @@ func (o *jobObserver) OnCycleJump(from, to uint64) { o.jumps++ }
 
 // OnProgress implements sim.Observer.
 func (o *jobObserver) OnProgress(cycle, committed uint64) {
-	if o.panicAfter > 0 && committed >= o.panicAfter {
-		panic(fmt.Sprintf("faultinject: worker panic at %d committed", committed))
-	}
-	if o.cancelAfter > 0 && committed >= o.cancelAfter {
-		o.cancelAfter = 0
-		o.cancel()
-	}
 	o.job.hub.publish(Event{Type: EventProgress, Data: Progress{
 		Cycle: cycle, Committed: committed, Reused: o.reused,
-		CommitBatches: o.committedBatches, Jumps: o.jumps, Attempt: o.attempt,
+		CommitBatches: o.committedBatches, Jumps: o.jumps,
 	}})
-}
-
-// traceWriter is the io.Writer subset the trace sink needs; named so
-// the failing wrapper reads clearly.
-type traceWriter interface{ Write([]byte) (int, error) }
-
-// failingWriter injects a trace-write failure after failAfter bytes.
-type failingWriter struct {
-	w         traceWriter
-	written   int
-	failAfter int
-}
-
-var errInjectedTraceWrite = MarkTransient(errors.New("faultinject: injected trace write failure"))
-
-func (f *failingWriter) Write(p []byte) (int, error) {
-	if f.written >= f.failAfter {
-		return 0, errInjectedTraceWrite
-	}
-	f.written += len(p)
-	return f.w.Write(p)
 }

@@ -4,16 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"civect/internal/serve"
-	"civect/internal/serve/faultinject"
 	"civect/internal/serve/servetest"
 	"civect/sim"
 )
@@ -151,9 +153,6 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	}
 	if v.Result == nil || v.Result.Partial {
 		t.Fatalf("done job result = %+v, want a complete result", v.Result)
-	}
-	if v.Attempts != 1 {
-		t.Errorf("attempts = %d, want 1", v.Attempts)
 	}
 
 	// The daemon must not perturb the simulation: its stats are
@@ -319,65 +318,6 @@ func TestQueueFullBackpressureAndCancel(t *testing.T) {
 	}
 }
 
-func TestPanicRecoveryRetriesAndBreaker(t *testing.T) {
-	s, ts := servetest.Start(t, serve.Config{
-		Workers: 1,
-		// The injector's panic site is the progress observer, so the
-		// cadence must land inside the 5k budget.
-		ProgressEvery: 500,
-		Retry:         serve.RetryPolicy{MaxAttempts: 3, Backoff: func(int) time.Duration { return time.Millisecond }},
-		Breaker:       serve.BreakerConfig{FailureLimit: 1, Cooldown: time.Hour},
-		Faults:        &faultinject.Plan{Seed: 7, PanicRate: 1},
-	})
-
-	// Every attempt's observer panics; the panic is recovered into a
-	// per-job error, retried as transient, and the job fails after the
-	// retry budget — the process survives.
-	_, _, b := doJSON(t, "POST", ts.URL+"/v1/jobs", `{"workload":"gcc","max_instr":5000}`, nil)
-	v := waitTerminal(t, ts.URL, decodeView(t, b).ID)
-	if v.State != serve.StateFailed || v.ErrorClass != serve.ClassTransient {
-		t.Fatalf("job state = %s class %s, want failed/transient", v.State, v.ErrorClass)
-	}
-	if !strings.Contains(v.Error, "panicked") {
-		t.Errorf("job error %q does not mention the recovered panic", v.Error)
-	}
-	if v.Attempts != 3 {
-		t.Errorf("attempts = %d, want the full retry budget of 3", v.Attempts)
-	}
-	if got := s.Metrics().PanicsRecovered.Load(); got != 3 {
-		t.Errorf("metrics panics_recovered = %d, want 3", got)
-	}
-	if got := s.Metrics().Retries.Load(); got != 2 {
-		t.Errorf("metrics retries = %d, want 2", got)
-	}
-
-	// FailureLimit 1: that failure opened the breaker, so the next
-	// submission is shed with 503 + Retry-After...
-	status, hdr, b := doJSON(t, "POST", ts.URL+"/v1/jobs", `{"workload":"gcc","max_instr":5000}`, nil)
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("submit with open breaker status = %d, want 503\n%s", status, b)
-	}
-	if hdr.Get("Retry-After") == "" {
-		t.Error("breaker 503 carries no Retry-After")
-	}
-	if shed := s.Metrics().ShedBreaker.Load(); shed != 1 {
-		t.Errorf("metrics shed_breaker = %d, want 1", shed)
-	}
-
-	// ...and /healthz reports overloaded with the trip reason.
-	status, _, b = doJSON(t, "GET", ts.URL+"/healthz", "", nil)
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("/healthz with open breaker status = %d, want 503", status)
-	}
-	var h serve.Health
-	if err := json.Unmarshal(b, &h); err != nil {
-		t.Fatal(err)
-	}
-	if h.Status != "overloaded" || h.Breaker != serve.BreakerOpen || h.BreakerReason == "" {
-		t.Errorf("health = %+v, want overloaded with an open breaker and a reason", h)
-	}
-}
-
 func TestHealthz(t *testing.T) {
 	_, ts := servetest.Start(t, serve.Config{Workers: 3, QueueDepth: 17})
 	status, _, b := doJSON(t, "GET", ts.URL+"/healthz", "", nil)
@@ -388,8 +328,8 @@ func TestHealthz(t *testing.T) {
 	if err := json.Unmarshal(b, &h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "ok" || h.Breaker != serve.BreakerClosed {
-		t.Errorf("health = %+v, want ok with a closed breaker", h)
+	if h.Status != "ok" {
+		t.Errorf("health = %+v, want ok", h)
 	}
 	if h.Workers != 3 || h.QueueCap != 17 {
 		t.Errorf("health reports %d workers, queue cap %d; want 3 and 17", h.Workers, h.QueueCap)
@@ -415,5 +355,48 @@ func TestTraceArtifact(t *testing.T) {
 	}
 	if !bytes.HasPrefix(data, []byte("CIVT")) {
 		t.Errorf("journal artifact does not start with the CIVT magic: %q", data[:8])
+	}
+}
+
+// TestRunTimeFailureIsFatal: a job whose trace artifact cannot be
+// created fails as fatal after its one session — nothing is retried,
+// and no artifact is left behind.
+func TestRunTimeFailureIsFatal(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "traces")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var failures int
+	s, ts := servetest.Start(t, serve.Config{TraceDir: dir, Logf: func(format string, args ...any) {
+		if strings.Contains(fmt.Sprintf(format, args...), " failed ") {
+			mu.Lock()
+			failures++
+			mu.Unlock()
+		}
+	}})
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, b := doJSON(t, "POST", ts.URL+"/v1/jobs", `{"workload":"gcc","max_instr":3000,"trace":true}`, nil)
+	v := waitTerminal(t, ts.URL, decodeView(t, b).ID)
+	if v.State != serve.StateFailed || v.ErrorClass != serve.ClassFatal {
+		t.Fatalf("job = %s/%s (%q), want failed/fatal", v.State, v.ErrorClass, v.Error)
+	}
+	if v.Result != nil || v.TracePath != "" {
+		t.Errorf("failed job carries result %v, trace_path %q; want neither", v.Result != nil, v.TracePath)
+	}
+	m := s.Metrics()
+	if m.Failed.Load() != 1 || m.Done.Load() != 0 {
+		t.Errorf("metrics failed=%d done=%d, want 1 and 0", m.Failed.Load(), m.Done.Load())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if failures != 1 {
+		t.Errorf("logged %d job failures, want exactly 1 (one session, no retry)", failures)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("trace dir stat = %v, want it still absent (no artifact)", err)
 	}
 }

@@ -17,8 +17,10 @@ const sseHeartbeat = 15 * time.Second
 // number onward, when a reconnecting client sends one), follows with
 // live events, and always ends with a `result` event carrying the
 // terminal job view — a subscriber can never miss the outcome, even if
-// it was too slow for intermediate events (those surface as a `lagged`
-// event instead of blocking the simulation's worker). Client
+// it was too slow for intermediate events or asked for events older
+// than the history ring (both surface as a `lagged` event carrying the
+// dropped count, instead of blocking the simulation's worker or
+// silently skipping ahead). Client
 // disconnects tear the subscription down promptly; the server holds no
 // goroutines for gone clients.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -47,6 +49,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	replay, sub := j.hub.subscribe(afterSeq)
 	defer j.hub.unsubscribe(sub)
 
+	if len(replay) > 0 && replay[0].Seq > afterSeq+1 {
+		// The ring evicted events the client asked for: report the gap
+		// under the last evicted seq, so a reconnect resumes after it.
+		gap := replay[0].Seq - afterSeq - 1
+		if !writeSSE(w, Event{Seq: replay[0].Seq - 1, Type: EventLagged, Data: gap}) {
+			return
+		}
+	}
 	for _, ev := range replay {
 		if !writeSSE(w, ev) {
 			return

@@ -187,3 +187,46 @@ func TestSSEClientDisconnect(t *testing.T) {
 		t.Fatalf("job finished %s after subscriber disconnect, want done", v.State)
 	}
 }
+
+// TestSSEReplayPastHistoryLags subscribes from 0 to a finished job
+// whose feed outgrew the history ring: the stream must open with a
+// lagged event carrying the evicted count, under the last evicted seq,
+// and then replay the ring without a further gap.
+func TestSSEReplayPastHistoryLags(t *testing.T) {
+	_, ts := servetest.Start(t, serve.Config{ProgressEvery: 100})
+	_, _, b := doJSON(t, "POST", ts.URL+"/v1/jobs", `{"workload":"gcc","max_instr":50000}`, nil)
+	job := decodeView(t, b)
+	waitTerminal(t, ts.URL, job.ID)
+
+	resp := openStream(t, ts.URL+"/v1/jobs/"+job.ID+"/events", "")
+	events := readSSE(t, bufio.NewReader(resp.Body), 10000)
+	resp.Body.Close()
+	if len(events) < 3 {
+		t.Fatalf("stream returned %d events", len(events))
+	}
+	lag := events[0]
+	if lag.Type != serve.EventLagged {
+		t.Fatalf("first event = %q, want %q for a feed past the history ring", lag.Type, serve.EventLagged)
+	}
+	dropped, err := strconv.ParseUint(lag.Data, 10, 64)
+	if err != nil || dropped == 0 || dropped != lag.ID {
+		t.Errorf("lagged event id %d data %q, want the evicted count, equal to the last evicted seq", lag.ID, lag.Data)
+	}
+	replay := events[1 : len(events)-1]
+	for k, ev := range replay {
+		if ev.ID != lag.ID+1+uint64(k) {
+			t.Fatalf("replay event %d has seq %d, want %d: the replay after lagged must be gapless", k, ev.ID, lag.ID+1+uint64(k))
+		}
+	}
+	if last := events[len(events)-1]; last.Type != serve.EventResult {
+		t.Errorf("stream ended with %q, want the result event", last.Type)
+	}
+
+	// Resuming from the lagged event's id is gapless: no second lagged.
+	resp = openStream(t, ts.URL+"/v1/jobs/"+job.ID+"/events", strconv.FormatUint(lag.ID, 10))
+	again := readSSE(t, bufio.NewReader(resp.Body), 10000)
+	resp.Body.Close()
+	if len(again) == 0 || again[0].Type == serve.EventLagged {
+		t.Errorf("resume from the lagged id reported a gap again")
+	}
+}
