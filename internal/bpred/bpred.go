@@ -17,6 +17,14 @@ type Gshare struct {
 // NewGshare builds a predictor with the given number of PHT entries
 // (must be a power of two; Table 1 uses 64K).
 func NewGshare(entries int) *Gshare {
+	g := new(Gshare)
+	g.Reset(entries)
+	return g
+}
+
+// Reset re-initializes g in place as a cold predictor with the given
+// number of PHT entries, reusing the table when its size is unchanged.
+func (g *Gshare) Reset(entries int) {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		panic("bpred: gshare entries must be a positive power of two")
 	}
@@ -24,16 +32,15 @@ func NewGshare(entries int) *Gshare {
 	for n := entries; n > 1; n >>= 1 {
 		histLen++
 	}
-	g := &Gshare{
-		table:   make([]uint8, entries),
-		mask:    uint64(entries - 1),
-		histLen: histLen,
+	table := g.table
+	if len(table) != entries {
+		table = make([]uint8, entries)
 	}
 	// Weakly taken start avoids a cold-start bias toward not-taken.
-	for i := range g.table {
-		g.table[i] = 2
+	for i := range table {
+		table[i] = 2
 	}
-	return g
+	*g = Gshare{table: table, mask: uint64(entries - 1), histLen: histLen}
 }
 
 func (g *Gshare) index(pc uint64) uint64 {
@@ -129,10 +136,24 @@ const (
 // NewMBS builds the table; the paper's configuration is 64 sets, 4-way
 // (§3.1: "4 ways * 64 elements per way").
 func NewMBS(sets, assoc int) *MBS {
+	m := new(MBS)
+	m.Reset(sets, assoc)
+	return m
+}
+
+// Reset re-initializes m in place as an empty table of the given
+// geometry, reusing the way array when its size is unchanged.
+func (m *MBS) Reset(sets, assoc int) {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("bpred: MBS sets must be a positive power of two")
 	}
-	return &MBS{sets: sets, assoc: assoc, ways: make([]mbsEntry, sets*assoc)}
+	ways := m.ways
+	if len(ways) == sets*assoc {
+		clear(ways)
+	} else {
+		ways = make([]mbsEntry, sets*assoc)
+	}
+	*m = MBS{sets: sets, assoc: assoc, ways: ways}
 }
 
 func (m *MBS) set(pc uint64) []mbsEntry {

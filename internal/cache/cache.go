@@ -69,6 +69,16 @@ type Cache struct {
 // New builds a cache from cfg. The geometry must be a power-of-two
 // line size and set count.
 func New(cfg Config) *Cache {
+	c := new(Cache)
+	c.Reset(cfg)
+	return c
+}
+
+// Reset re-initializes c in place as a cold cache of geometry cfg: no
+// valid line, zero clock and statistics. The line array is reused when
+// cfg needs exactly as many lines, and cleared either way; Reset is the
+// only initializer, so a reused cache carries nothing from its past.
+func (c *Cache) Reset(cfg Config) {
 	nsets := cfg.Sets()
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic("cache: set count must be a positive power of two")
@@ -76,18 +86,19 @@ func New(cfg Config) *Cache {
 	if cfg.LineBytes <= 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		panic("cache: line size must be a positive power of two")
 	}
-	c := &Cache{
-		cfg:    cfg,
-		lines:  make([]line, nsets*cfg.Assoc),
-		setMsk: uint64(nsets - 1),
+	lines := c.lines
+	if len(lines) == nsets*cfg.Assoc {
+		clear(lines)
+	} else {
+		lines = make([]line, nsets*cfg.Assoc)
 	}
+	*c = Cache{cfg: cfg, lines: lines, setMsk: uint64(nsets - 1)}
 	for b := cfg.LineBytes; b > 1; b >>= 1 {
 		c.shift++
 	}
 	for n := nsets; n > 1; n >>= 1 {
 		c.setShift++
 	}
-	return c
 }
 
 // set returns the ways of the set holding addr's index.
@@ -158,9 +169,4 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, lat int) {
 // LineAddr returns the address of the first byte of the line holding addr.
 func (c *Cache) LineAddr(addr uint64) uint64 {
 	return addr &^ (uint64(c.cfg.LineBytes) - 1)
-}
-
-// Flush invalidates every line (used between runs).
-func (c *Cache) Flush() {
-	clear(c.lines)
 }

@@ -83,12 +83,27 @@ func TestLookupDoesNotTouch(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
+// TestReset: a reset cache is cold — no line, clock or counter
+// survives — and keeps its line array when the geometry keeps its size.
+func TestReset(t *testing.T) {
 	c := New(small())
 	c.Access(0x0, false)
-	c.Flush()
+	lines := &c.lines[0]
+	c.Reset(small())
 	if c.Lookup(0x0) {
-		t.Error("flush should invalidate")
+		t.Error("reset should invalidate")
+	}
+	if c.Stats != (Stats{}) || c.clock != 0 {
+		t.Errorf("reset left stats %+v, clock %d", c.Stats, c.clock)
+	}
+	if &c.lines[0] != lines {
+		t.Error("same-size reset reallocated the line array")
+	}
+	bigger := small()
+	bigger.SizeBytes *= 2
+	c.Reset(bigger)
+	if len(c.lines) != bigger.Sets()*bigger.Assoc {
+		t.Errorf("reset to %d sets left %d lines", bigger.Sets(), len(c.lines))
 	}
 }
 
@@ -343,14 +358,22 @@ func TestFetchAccess(t *testing.T) {
 	}
 }
 
-func TestHierarchyFlush(t *testing.T) {
-	h := NewHierarchy(DefaultHierConfig())
+func TestHierarchyReset(t *testing.T) {
+	cfg := DefaultHierConfig()
+	cfg.WideBus = true
+	h := NewHierarchy(cfg)
 	h.BeginCycle(1)
 	h.DataAccess(0x100, false)
-	h.Flush()
+	h.Reset(cfg)
+	if h.OutstandingMisses() != 0 || h.wideBuf[0].valid || h.L1D.Stats != (Stats{}) {
+		t.Error("reset should drop in-flight misses, latches and statistics")
+	}
 	h.BeginCycle(2)
 	if r := h.DataAccess(0x100, false); r.Hit {
-		t.Error("flush should invalidate all levels")
+		t.Error("reset should invalidate all levels")
+	}
+	if want := NewHierarchy(cfg); h.cycle != 2 || want.cfg != h.cfg {
+		t.Errorf("reset config %+v, want %+v", h.cfg, want.cfg)
 	}
 }
 

@@ -74,6 +74,15 @@ type wideLine struct {
 
 // NewHierarchy builds the hierarchy from cfg.
 func NewHierarchy(cfg HierConfig) *Hierarchy {
+	h := new(Hierarchy)
+	h.Reset(cfg)
+	return h
+}
+
+// Reset re-initializes h in place as a cold hierarchy for cfg: every
+// level is Reset (reusing its line array when the geometry keeps its
+// size), no miss is in flight and no wide-bus line is latched.
+func (h *Hierarchy) Reset(cfg HierConfig) {
 	if cfg.DL1Ports <= 0 {
 		cfg.DL1Ports = 1
 	}
@@ -83,19 +92,33 @@ func NewHierarchy(cfg HierConfig) *Hierarchy {
 	if cfg.MaxOutstandingMisses <= 0 {
 		cfg.MaxOutstandingMisses = 16
 	}
-	h := &Hierarchy{
-		cfg: cfg,
-		L1I: New(cfg.L1I),
-		L1D: New(cfg.L1D),
-		L2:  New(cfg.L2),
-		L3:  New(cfg.L3),
+	levels := [4]*Cache{h.L1I, h.L1D, h.L2, h.L3}
+	for i, c := range levels {
+		if c == nil {
+			levels[i] = new(Cache)
+		}
 	}
+	levels[0].Reset(cfg.L1I)
+	levels[1].Reset(cfg.L1D)
+	levels[2].Reset(cfg.L2)
+	levels[3].Reset(cfg.L3)
+	var wide []wideLine
 	if cfg.WideBus {
 		// One line latch per port plus one victim keeps interleaved
 		// streams from thrashing a single buffer.
-		h.wideBuf = make([]wideLine, cfg.DL1Ports+1)
+		wide = h.wideBuf
+		if len(wide) == cfg.DL1Ports+1 {
+			clear(wide)
+		} else {
+			wide = make([]wideLine, cfg.DL1Ports+1)
+		}
 	}
-	return h
+	*h = Hierarchy{
+		cfg: cfg,
+		L1I: levels[0], L1D: levels[1], L2: levels[2], L3: levels[3],
+		wideBuf:    wide,
+		missFreeAt: h.missFreeAt[:0],
+	}
 }
 
 // Config returns the hierarchy configuration.
@@ -276,16 +299,4 @@ func (h *Hierarchy) NextMissRetire() (cycle uint64, ok bool) {
 		}
 	}
 	return m, true
-}
-
-// Flush invalidates all levels and the wide-bus line buffers.
-func (h *Hierarchy) Flush() {
-	h.L1I.Flush()
-	h.L1D.Flush()
-	h.L2.Flush()
-	h.L3.Flush()
-	h.missFreeAt = h.missFreeAt[:0]
-	for i := range h.wideBuf {
-		h.wideBuf[i] = wideLine{}
-	}
 }

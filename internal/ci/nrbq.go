@@ -34,10 +34,24 @@ type NRBQ struct {
 
 // NewNRBQ builds a queue with the given capacity.
 func NewNRBQ(capacity int) *NRBQ {
+	q := new(NRBQ)
+	q.Reset(capacity)
+	return q
+}
+
+// Reset empties q in place and sizes it to capacity, reusing the entry
+// array when the capacity is unchanged.
+func (q *NRBQ) Reset(capacity int) {
 	if capacity <= 0 {
 		panic("ci: NRBQ capacity must be positive")
 	}
-	return &NRBQ{entries: make([]NRBQEntry, capacity)}
+	entries := q.entries
+	if len(entries) == capacity {
+		clear(entries)
+	} else {
+		entries = make([]NRBQEntry, capacity)
+	}
+	*q = NRBQ{entries: entries}
 }
 
 // Len returns the number of live entries.

@@ -388,23 +388,35 @@ type SRSMT struct {
 
 // NewSRSMT builds the table.
 func NewSRSMT(sets, assoc int) *SRSMT {
+	t := new(SRSMT)
+	t.Reset(sets, assoc)
+	return t
+}
+
+// Reset re-initializes t in place as an empty table of the given
+// geometry. When the way count is unchanged the way, header and bitmap
+// arrays are reused, and every way keeps its replica ring and consumer
+// chain storage for its next incarnation (emptied, as Invalidate
+// leaves them); otherwise they are allocated afresh.
+func (t *SRSMT) Reset(sets, assoc int) {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("ci: SRSMT sets must be a positive power of two")
 	}
 	if assoc <= 0 {
 		panic("ci: SRSMT associativity must be positive")
 	}
-	t := &SRSMT{
-		sets: sets, assoc: assoc,
-		ways:    make([]Entry, sets*assoc),
-		headers: make([]TurnHeader, sets*assoc),
-		valid:   make([]uint64, (sets*assoc+63)/64),
+	n := sets * assoc
+	ways, headers, valid := t.ways, t.headers, t.valid
+	if len(ways) != n {
+		ways, headers, valid = make([]Entry, n), make([]TurnHeader, n), make([]uint64, (n+63)/64)
 	}
-	for i := range t.ways {
-		t.ways[i].way = int32(i)
-		t.ways[i].TurnHeader = &t.headers[i]
+	clear(headers)
+	clear(valid)
+	for i := range ways {
+		e := &ways[i]
+		*e = Entry{TurnHeader: &headers[i], Replicas: e.Replicas[:0], Consumers: e.Consumers[:0], way: int32(i)}
 	}
-	return t
+	*t = SRSMT{sets: sets, assoc: assoc, ways: ways, headers: headers, valid: valid, present: t.present[:0]}
 }
 
 func (t *SRSMT) set(pc uint64) []Entry {
@@ -437,9 +449,18 @@ func (t *SRSMT) markPresent(pc uint64, on bool) {
 		if !on {
 			return
 		}
-		grown := make([]uint64, max(2*len(t.present), int(w)+8))
-		copy(grown, t.present)
-		t.present = grown
+		// The bitmap's length follows the same doubling whether its
+		// array is new or kept by Reset, so checkpoints encode alike.
+		n := max(2*len(t.present), int(w)+8)
+		if n <= cap(t.present) {
+			old := len(t.present)
+			t.present = t.present[:n]
+			clear(t.present[old:])
+		} else {
+			grown := make([]uint64, n)
+			copy(grown, t.present)
+			t.present = grown
+		}
 	}
 	if on {
 		t.present[w] |= 1 << (pc & 63)

@@ -292,9 +292,34 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: need at least one strided PC per rename entry")
 	case c.StridedPCsPerEntry > maxStridedPCs:
 		return fmt.Errorf("core: at most %d strided PCs per rename entry", maxStridedPCs)
+	case !pow2(c.GshareEntries):
+		return fmt.Errorf("core: gshare entries %d not a positive power of two", c.GshareEntries)
+	case !pow2(c.MBSSets) || c.MBSAssoc < 0:
+		return fmt.Errorf("core: MBS geometry %dx%d invalid", c.MBSSets, c.MBSAssoc)
+	case !pow2(c.StrideSets) || c.StrideAssoc < 1:
+		return fmt.Errorf("core: stride predictor geometry %dx%d invalid", c.StrideSets, c.StrideAssoc)
+	case c.Mode.Vectorizes() && (!pow2(c.SRSMTSets) || c.SRSMTAssoc < 1):
+		return fmt.Errorf("core: SRSMT geometry %dx%d invalid", c.SRSMTSets, c.SRSMTAssoc)
+	case (c.Mode == ModeCI || c.Mode == ModeCIIW) && c.NRBQEntries < 1:
+		return fmt.Errorf("core: NRBQ needs at least one entry")
+	case c.SpecMemSize < 0:
+		return fmt.Errorf("core: negative spec memory size %d", c.SpecMemSize)
+	}
+	for _, l := range []struct {
+		name string
+		c    cache.Config
+	}{{"L1I", c.Hier.L1I}, {"L1D", c.Hier.L1D}, {"L2", c.Hier.L2}, {"L3", c.Hier.L3}} {
+		// The caps keep LineBytes·Assoc (Sets' divisor) from overflowing.
+		if l.c.LineBytes < 1 || l.c.Assoc < 1 || l.c.LineBytes > 1<<16 || l.c.Assoc > 1<<16 ||
+			!pow2(l.c.LineBytes) || !pow2(l.c.Sets()) {
+			return fmt.Errorf("core: %s geometry %d B, %d-byte lines, %d-way: need power-of-two lines and sets", l.name, l.c.SizeBytes, l.c.LineBytes, l.c.Assoc)
+		}
 	}
 	return nil
 }
+
+// pow2 reports whether n is a positive power of two.
+func pow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // WindowFor applies the paper's reorder-buffer sizing rule: 256
 // entries, grown to the register count when the register file exceeds

@@ -235,7 +235,8 @@ func refTo(ent *ci.Entry) entryRef {
 // was created for.
 func (r entryRef) live() bool { return r.hdr.Valid && r.hdr.Gen == r.gen }
 
-// Proc is the processor. Create one with New, run with Run.
+// Proc is the processor. Create one with New (or Reset one that has
+// run before), run with Run.
 type Proc struct {
 	cfg  Config
 	prog *isa.Program
@@ -416,24 +417,60 @@ type Proc struct {
 	freedCount int
 
 	Stats Stats
+
+	// spare keeps the components this mode does not use for a later
+	// Reset. It sits last so the hot fields keep their offsets.
+	spare spares
 }
 
 // New builds a processor over prog and data memory m (which it owns and
-// mutates at commit; nil m means an empty image). The configuration is
-// validated. The program is validated and decoded on its first use only
-// (isa.Program.Decode), so building many processors over one program —
-// a sweep's configuration points, a sampled run's sample machines —
-// costs each one only its own pipeline state.
+// mutates at commit; nil m means an empty image): a zero Proc, Reset.
+// The configuration is validated. The program is validated and decoded
+// on its first use only (isa.Program.Decode), so building many
+// processors over one program — a sweep's configuration points, a
+// sampled run's sample machines — costs each one only its own pipeline
+// state.
 func New(cfg Config, prog *isa.Program, m *mem.Memory) (*Proc, error) {
+	p := new(Proc)
+	if err := p.Reset(cfg, prog, m); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// spares holds the mode-dependent components the current configuration
+// does not use, so a later Reset to a mode that does use them finds
+// their tables instead of allocating them.
+type spares struct {
+	nrbq    *ci.NRBQ
+	srsmt   *ci.SRSMT
+	sm      *regfile.SpecMem
+	iwTable [][]iwReuse
+	iwHead  []int
+}
+
+// Reset turns p into the processor New(cfg, prog, m) would build, in
+// place. It is the only initializer — New is a zero Proc plus Reset —
+// so no field can survive from p's previous run: Reset zeroes the whole
+// struct and re-initializes every component, keeping only storage. A
+// table or array is reused when the new configuration needs exactly its
+// size, and cleared; scratch lists keep their capacity at length zero;
+// components the new mode does not use are set aside for a later Reset.
+// A machine reset this way runs bit-identically to a fresh one, and a
+// sweep that resets one machine per worker allocates almost nothing per
+// point. An invalid program or configuration is reported before p
+// changes; whatever state p is in — mid-run, panicked, a failed
+// restore — the next Reset starts it over.
+func (p *Proc) Reset(cfg Config, prog *isa.Program, m *mem.Memory) error {
 	if prog == nil {
-		return nil, errors.New("core: nil program")
+		return errors.New("core: nil program")
 	}
 	imeta, err := prog.Decode()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if m == nil {
 		m = mem.New()
@@ -442,31 +479,65 @@ func New(cfg Config, prog *isa.Program, m *mem.Memory) (*Proc, error) {
 	hcfg.DL1Ports = cfg.DL1Ports
 	hcfg.WideBus = cfg.Mode.UsesWideBus()
 
-	p := &Proc{
-		cfg:   cfg,
-		prog:  prog,
-		imeta: imeta,
-		mem:   m,
-		rf:    regfile.NewFile(cfg.PhysRegs),
-		rob:   make([]robEntry, cfg.WindowSize),
-		hier:  cache.NewHierarchy(hcfg),
-		bp:    bpred.NewGshare(cfg.GshareEntries),
-		mbs:   bpred.NewMBS(cfg.MBSSets, cfg.MBSAssoc),
-		sp:    stride.New(cfg.StrideSets, cfg.StrideAssoc),
-		// In-flight stores are bounded by the LSQ, so the word index
-		// stops growing once it has seen the peak occupancy.
-		wordStores: make(map[uint64][]int32, cfg.LSQSize),
+	old := *p
+	*p = Proc{cfg: cfg, prog: prog, imeta: imeta, mem: m}
+	sp := old.spare
+	sp.nrbq = either(old.nrbq, sp.nrbq)
+	sp.srsmt = either(old.srsmt, sp.srsmt)
+	sp.sm = either(old.sm, sp.sm)
+	if old.iwTable != nil {
+		sp.iwTable, sp.iwHead = old.iwTable, old.iwHead
 	}
+
+	p.hier = orNew(old.hier)
+	p.hier.Reset(hcfg)
+	p.bp = orNew(old.bp)
+	p.bp.Reset(cfg.GshareEntries)
+	p.mbs = orNew(old.mbs)
+	p.mbs.Reset(cfg.MBSSets, cfg.MBSAssoc)
+	p.sp = orNew(old.sp)
+	p.sp.Reset(cfg.StrideSets, cfg.StrideAssoc)
+	p.rf = orNew(old.rf)
+	p.rf.Reset(cfg.PhysRegs)
+	p.rob = reuse(old.rob, cfg.WindowSize)
 	if cfg.Mode == ModeCI || cfg.Mode == ModeCIIW {
-		p.nrbq = ci.NewNRBQ(cfg.NRBQEntries)
+		p.nrbq, sp.nrbq = orNew(sp.nrbq), nil
+		p.nrbq.Reset(cfg.NRBQEntries)
 	}
 	if cfg.Mode.Vectorizes() {
-		p.srsmt = ci.NewSRSMT(cfg.SRSMTSets, cfg.SRSMTAssoc)
+		p.srsmt, sp.srsmt = orNew(sp.srsmt), nil
+		p.srsmt.Reset(cfg.SRSMTSets, cfg.SRSMTAssoc)
+		if cfg.SpecMemSize > 0 {
+			p.sm, sp.sm = orNew(sp.sm), nil
+			p.sm.Reset(cfg.SpecMemSize, cfg.SpecMemLat)
+		}
 	}
 	if cfg.Mode == ModeCIIW {
-		p.iwTable = make([][]iwReuse, prog.Len())
-		p.iwHead = make([]int, prog.Len())
+		p.iwTable, p.iwHead = reuse(sp.iwTable, prog.Len()), reuse(sp.iwHead, prog.Len())
+		sp.iwTable, sp.iwHead = nil, nil
 	}
+	p.spare = sp
+
+	// In-flight stores are bounded by the LSQ and the window, so the
+	// word index stops growing once it has seen the peak occupancy.
+	p.wordStores = old.wordStores
+	if p.wordStores == nil {
+		p.wordStores = make(map[uint64][]int32, min(cfg.LSQSize, cfg.WindowSize))
+	}
+	clear(p.wordStores)
+	p.wordListFree = old.wordListFree
+	p.stridePC = stridePool{lists: old.stridePC.lists[:0], free: old.stridePC.free[:0]}
+	p.lsq, p.lsqFiltered, p.storeUnknown = old.lsq[:0], old.lsqFiltered[:0], old.storeUnknown[:0]
+	p.fetchQ, p.pcScratch = old.fetchQ[:0], old.pcScratch[:0]
+	p.activeEntries, p.seedWatch = old.activeEntries[:0], old.seedWatch[:0]
+	p.waitQ, p.execQ, p.validPend, p.readyQ = old.waitQ[:0], old.execQ[:0], old.validPend[:0], old.readyQ[:0]
+	p.iwPCs, p.iwRemapFrom, p.iwRemapTo = old.iwPCs[:0], old.iwRemapFrom[:0], old.iwRemapTo[:0]
+	// Epoch-stamped sets are cleared, not truncated: a stale stamp
+	// would read as a member once the epoch counts up to it again.
+	p.freedMark, p.iwChainVal, p.iwChainMark = old.freedMark, old.iwChainVal, old.iwChainMark
+	clear(p.freedMark)
+	clear(p.iwChainMark)
+
 	// Epoch 0 would make the zero-valued freedMark read as all-freed.
 	p.freedEpoch = 1
 	p.aliasEmu = cfg.EmulateAliasedWorklist
@@ -474,13 +545,18 @@ func New(cfg Config, prog *isa.Program, m *mem.Memory) (*Proc, error) {
 	// Fast-forward needs the event scheduler's quiescence guarantees;
 	// the naive reference always steps.
 	p.fastFwd = p.eventSched && !cfg.NoFastForward
-	if p.eventSched {
-		// Pre-size the wakeup structures so the steady state stays
-		// allocation-free: park lists for every physical register
-		// (bounded files; unbounded ones grow on demand) and completion
-		// wheel buckets. Deeper lists and buckets grow once and keep
-		// their capacity.
-		if cfg.PhysRegs > 0 {
+	// The wakeup structures are pre-sized so the steady state stays
+	// allocation-free: park lists for every physical register (bounded
+	// files; unbounded ones grow on demand) and completion wheel
+	// buckets. Deeper lists and buckets grow once and keep their
+	// capacity, across Resets too.
+	if p.eventSched && cfg.PhysRegs > 0 {
+		if len(old.regWaiters) == cfg.PhysRegs {
+			p.regWaiters = old.regWaiters
+			for r := range p.regWaiters {
+				p.regWaiters[r] = p.regWaiters[r][:0]
+			}
+		} else {
 			// Park lists routinely reach a dozen waiters on a hot value
 			// register; 16 slots up front keeps per-run growth to the
 			// few registers that go deeper.
@@ -491,25 +567,54 @@ func New(cfg Config, prog *isa.Program, m *mem.Memory) (*Proc, error) {
 				p.regWaiters[r] = slab[r*parkCap : r*parkCap : (r+1)*parkCap]
 			}
 		}
+	}
+	if old.doneWheel[0] != nil {
+		for i := range p.doneWheel {
+			p.doneWheel[i] = old.doneWheel[i][:0]
+		}
+	} else if p.eventSched {
 		const bucketCap = 4
 		wslab := make([]entryRef, wheelSpan*bucketCap)
 		for i := range p.doneWheel {
 			p.doneWheel[i] = wslab[i*bucketCap : i*bucketCap : (i+1)*bucketCap]
 		}
 	}
-	if cfg.SpecMemSize > 0 && cfg.Mode.Vectorizes() {
-		p.sm = regfile.NewSpecMem(cfg.SpecMemSize, cfg.SpecMemLat)
-	}
 	// Bind each logical register to a committed physical register.
 	for r := 0; r < isa.NumLogical; r++ {
 		phys, ok := p.rf.Alloc()
 		if !ok {
-			return nil, fmt.Errorf("core: register file too small for architectural state")
+			return fmt.Errorf("core: register file too small for architectural state")
 		}
 		p.rf.Write(phys, 0)
 		p.ren[r] = renEntry{phys: int32(phys), writerPC: -1}
 	}
-	return p, nil
+	return nil
+}
+
+// either returns a, or b when a is nil.
+func either[T any](a, b *T) *T {
+	if a != nil {
+		return a
+	}
+	return b
+}
+
+// orNew returns c, or a new zero T when c is nil.
+func orNew[T any](c *T) *T {
+	if c == nil {
+		return new(T)
+	}
+	return c
+}
+
+// reuse returns s cleared when it holds exactly n elements, else a new
+// slice of n.
+func reuse[T any](s []T, n int) []T {
+	if len(s) != n {
+		return make([]T, n)
+	}
+	clear(s)
+	return s
 }
 
 // Run simulates until the program halts, the committed-instruction

@@ -697,11 +697,23 @@ func PeekCheckpoint(data []byte) (CheckpointInfo, error) {
 // container. prog must be the program the checkpoint was taken over
 // (verified by name, length and hash); base must be the same pristine
 // initial memory image passed to SaveCheckpoint (nil if it was nil).
-// The restored processor carries no observer or tracer.
+// The restored processor carries no observer or tracer. Hostile input
+// is an error, never a panic.
 func RestoreCheckpoint(data []byte, prog *isa.Program, base *mem.Memory) (*Proc, error) {
+	p := new(Proc)
+	if err := p.restore(data, prog, base); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// restore is RestoreCheckpoint into an existing machine: a Reset to the
+// checkpoint's configuration, then the decode. A failed restore leaves
+// p unusable until its next Reset.
+func (p *Proc) restore(data []byte, prog *isa.Program, base *mem.Memory) error {
 	payload, err := ckpt.Open(data, CheckpointVersion)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	d := ckpt.NewDecoder(payload)
 	d.Tag("proc")
@@ -712,19 +724,23 @@ func RestoreCheckpoint(data []byte, prog *isa.Program, base *mem.Memory) (*Proc,
 	plen := d.Int()
 	phash := d.U64()
 	if err := d.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if prog == nil {
-		return nil, fmt.Errorf("core: restore needs a program")
+		return fmt.Errorf("core: restore needs a program")
 	}
 	if prog.Name != name || prog.Len() != plen || prog.Hash() != phash {
-		return nil, fmt.Errorf("core: checkpoint was taken over program %q (len %d, hash %016x), not the supplied %q (len %d, hash %016x)",
+		return fmt.Errorf("core: checkpoint was taken over program %q (len %d, hash %016x), not the supplied %q (len %d, hash %016x)",
 			name, plen, phash, prog.Name, prog.Len(), prog.Hash())
 	}
-
-	p, err := New(cfg, prog, mem.New())
-	if err != nil {
-		return nil, fmt.Errorf("core: restore: %w", err)
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("core: restore: %w", err)
+	}
+	if err := fitsPayload(&cfg, len(payload)); err != nil {
+		return fmt.Errorf("core: restore: %w", err)
+	}
+	if err := p.Reset(cfg, prog, mem.New()); err != nil {
+		return fmt.Errorf("core: restore: %w", err)
 	}
 
 	d.Tag("arch")
@@ -897,7 +913,14 @@ func RestoreCheckpoint(data []byte, prog *isa.Program, base *mem.Memory) (*Proc,
 	p.validPend = loadWaitList(d)
 	p.execMinDone = d.U64()
 	p.readyQ = loadWaitList(d)
+	// Park lists are per physical register, and every register costs
+	// the payload 10 bytes, so the table is at most twice that count
+	// plus the growth slack (parkOn).
+	maxRegs := len(payload) / 10
 	nwait := d.Int()
+	if d.Err() == nil && nwait > 2*maxRegs+64 {
+		d.Fail("park-list table of %d registers exceeds the %d-byte checkpoint", nwait, len(payload))
+	}
 	if d.Err() == nil && nwait >= 0 {
 		if nwait > len(p.regWaiters) {
 			// Unbounded register files grow the waiter table on demand;
@@ -953,7 +976,7 @@ func RestoreCheckpoint(data []byte, prog *isa.Program, base *mem.Memory) (*Proc,
 		if d.Err() != nil {
 			break
 		}
-		if r < 0 || r > 1<<24 {
+		if r < 0 || r > maxRegs {
 			d.Fail("freed register %d out of range", r)
 			break
 		}
@@ -968,12 +991,54 @@ func RestoreCheckpoint(data []byte, prog *isa.Program, base *mem.Memory) (*Proc,
 	p.loadStats(d)
 	d.Tag("end")
 	if err := d.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("core: checkpoint payload has %d trailing bytes", d.Remaining())
+		return fmt.Errorf("core: checkpoint payload has %d trailing bytes", d.Remaining())
 	}
-	return p, nil
+	return nil
+}
+
+// fitsPayload rejects a checkpointed configuration whose machine the
+// payload cannot describe, before anything is sized from it: every
+// cache line, predictor entry, ROB entry, physical register, spec
+// memory position and wide-bus latch is encoded, at no fewer bytes
+// each than counted here, so a forged header cannot make a restore
+// allocate more than a small multiple of the file. The SRSMT and NRBQ
+// encode only live entries; their tables are capped outright, far
+// above any real geometry. c must have passed Validate.
+func fitsPayload(c *Config, n int) error {
+	lines := 0
+	for _, l := range []cache.Config{c.Hier.L1I, c.Hier.L1D, c.Hier.L2, c.Hier.L3} {
+		if l.Sets() > n/l.Assoc {
+			return fmt.Errorf("cache of %d sets x %d ways exceeds the %d-byte checkpoint", l.Sets(), l.Assoc, n)
+		}
+		lines += l.Sets() * l.Assoc
+	}
+	for _, f := range []struct {
+		what         string
+		count, ways  int
+		bytesPerItem int
+	}{
+		{"cache lines", lines, 1, 18},
+		{"gshare entries", c.GshareEntries, 1, 1},
+		{"MBS ways", c.MBSSets, c.MBSAssoc, 20},
+		{"stride ways", c.StrideSets, c.StrideAssoc, 34},
+		{"ROB entries", c.WindowSize, 1, 100},
+		{"physical registers", c.PhysRegs, 1, 10},
+		{"spec memory positions", c.SpecMemSize, 1, 10},
+		{"wide-bus latches", c.DL1Ports, 1, 33},
+	} {
+		// count·ways is compared by division so it cannot overflow.
+		if f.count > n/f.bytesPerItem/max(f.ways, 1) {
+			return fmt.Errorf("%d x %d %s exceed the %d-byte checkpoint", f.count, f.ways, f.what, n)
+		}
+	}
+	const maxTable = 1 << 16
+	if c.SRSMTSets > maxTable/max(c.SRSMTAssoc, 1) || c.NRBQEntries > maxTable {
+		return fmt.Errorf("SRSMT %dx%d or NRBQ %d above %d entries", c.SRSMTSets, c.SRSMTAssoc, c.NRBQEntries, maxTable)
+	}
+	return nil
 }
 
 // AdoptWarmState installs functionally-warmed microarchitectural state

@@ -164,15 +164,22 @@ func TestSchedulerLockstep(t *testing.T) {
 // observer seam's nil path is pinned allocation-free from both
 // directions.
 func TestSteadyStateZeroAllocs(t *testing.T) {
+	detach := func(p *Proc) {
+		p.SetObserver(nopObserver{}, 1)
+		p.SetObserver(nil, 0)
+	}
+	// The reset- cases measure a recycled machine: one that ran another
+	// mode and shape (scal, 512 registers) before Reset turned it into
+	// the measured configuration.
 	cases := []struct {
 		name    string
+		reset   bool
 		prepare func(p *Proc)
 	}{
-		{"observer-never-registered", nil},
-		{"observer-detached", func(p *Proc) {
-			p.SetObserver(nopObserver{}, 1)
-			p.SetObserver(nil, 0)
-		}},
+		{"observer-never-registered", false, nil},
+		{"observer-detached", false, detach},
+		{"reset-observer-never-registered", true, nil},
+		{"reset-observer-detached", true, detach},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -185,6 +192,20 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			p, err := New(cfg, wl.Program, wl.NewMem())
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.reset {
+				prev := DefaultConfig(ModeScalar)
+				prev.PhysRegs, prev.WindowSize = 512, WindowFor(512)
+				prev.MaxInstr = 20_000
+				if err := p.Reset(prev, wl.Program, wl.NewMem()); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := p.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Reset(cfg, wl.Program, wl.NewMem()); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if tc.prepare != nil {
 				tc.prepare(p)

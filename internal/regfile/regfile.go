@@ -39,15 +39,32 @@ type File struct {
 
 // NewFile builds a file with n physical registers; n <= 0 is unbounded.
 func NewFile(n int) *File {
-	f := &File{bounded: n > 0}
+	f := new(File)
+	f.Reset(n)
+	return f
+}
+
+// Reset re-initializes f in place as a file of n physical registers
+// (n <= 0 is unbounded), all free and none sampled. A bounded file
+// reuses its arrays when n is unchanged; an unbounded one keeps their
+// capacity for its on-demand growth.
+func (f *File) Reset(n int) {
+	regs, free := f.regs[:0], f.free[:0]
 	if n > 0 {
-		f.regs = make([]reg, n)
-		f.free = make([]int, n)
-		for i := range f.free {
-			f.free[i] = n - 1 - i // pop from the end -> ascending order
+		if len(f.regs) == n {
+			regs = f.regs
+			clear(regs)
+		} else {
+			regs = make([]reg, n)
+		}
+		if cap(free) < n {
+			free = make([]int, 0, n)
+		}
+		for i := n - 1; i >= 0; i-- {
+			free = append(free, i) // pop from the end -> ascending order
 		}
 	}
-	return f
+	*f = File{bounded: n > 0, regs: regs, free: free}
 }
 
 // Size returns the capacity, or -1 for an unbounded file.
@@ -166,24 +183,39 @@ type SpecMem struct {
 // NewSpecMem builds a speculative data memory with n positions and the
 // given access latency in cycles.
 func NewSpecMem(n, latency int) *SpecMem {
+	s := new(SpecMem)
+	s.Reset(n, latency)
+	return s
+}
+
+// Reset re-initializes s in place with n free positions and the given
+// access latency, reusing its arrays when n is unchanged.
+func (s *SpecMem) Reset(n, latency int) {
 	if n <= 0 {
 		panic("regfile: spec memory needs a positive size")
 	}
 	if latency <= 0 {
 		latency = 2
 	}
-	s := &SpecMem{
+	vals, ready, alloced, free := s.vals, s.ready, s.alloced, s.free[:0]
+	if len(vals) == n {
+		clear(vals)
+		clear(ready)
+		clear(alloced)
+	} else {
+		vals, ready, alloced = make([]uint64, n), make([]bool, n), make([]bool, n)
+	}
+	if cap(free) < n {
+		free = make([]int, 0, n)
+	}
+	for i := n - 1; i >= 0; i-- {
+		free = append(free, i)
+	}
+	*s = SpecMem{
 		size: n, latency: latency,
-		vals:      make([]uint64, n),
-		ready:     make([]bool, n),
-		alloced:   make([]bool, n),
-		free:      make([]int, n),
+		vals: vals, ready: ready, alloced: alloced, free: free,
 		readPorts: 2, writePorts: 2,
 	}
-	for i := range s.free {
-		s.free[i] = n - 1 - i
-	}
-	return s
 }
 
 // Size returns the number of positions.

@@ -83,7 +83,9 @@ func LoadSpecMem(d *ckpt.Decoder) *SpecMem {
 	if d.Err() != nil {
 		return nil
 	}
-	if size <= 0 || size > 1<<24 {
+	// Every position costs the payload 10 bytes, so a size the rest of
+	// it cannot hold is rejected before anything is allocated.
+	if size <= 0 || size > d.Remaining()/10 {
 		d.Fail("spec memory size %d out of range", size)
 		return nil
 	}

@@ -1,0 +1,9 @@
+package sample
+
+// SetMeasureHook installs f as the measure hook until the returned
+// function restores the previous one.
+func SetMeasureHook(f func(delta int)) (restore func()) {
+	prev := measureHook
+	measureHook = f
+	return func() { measureHook = prev }
+}

@@ -58,7 +58,7 @@ func TestEstimateIndependentOfWorkers(t *testing.T) {
 		var want *Estimate
 		for _, procs := range []int{1, 2, 8} {
 			withProcs(procs, func() {
-				live, err := Run(context.Background(), plan, wl.Program, wl.NewMem(), core.DefaultConfig(core.ModeCI), 1_000)
+				live, err := Run(context.Background(), plan, wl.Program, wl.NewMem(), core.DefaultConfig(core.ModeCI), 1_000, Slots{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -149,7 +149,7 @@ func TestCancelMidRunLeavesNoGoroutines(t *testing.T) {
 			base := runtime.NumGoroutine()
 			for name, run := range map[string]func(context.Context) (*Estimate, error){
 				"Run": func(ctx context.Context) (*Estimate, error) {
-					return Run(ctx, plan, wl.Program, wl.NewMem(), core.DefaultConfig(core.ModeCI), 1_000)
+					return Run(ctx, plan, wl.Program, wl.NewMem(), core.DefaultConfig(core.ModeCI), 1_000, Slots{})
 				},
 				"RunFromState": func(ctx context.Context) (*Estimate, error) {
 					return RunFromState(ctx, data, wl.Program, wl.NewMem())
@@ -191,9 +191,10 @@ func TestHelperPanicKeepsItsStack(t *testing.T) {
 					t.Errorf("GOMAXPROCS=%d: panic renders as %q, want the helper's value", procs, fmt.Sprint(p))
 				}
 			}()
-			// A nil machine makes measure dereference nil on the helper.
-			measureAll(context.Background(), 1_000, samples, 0, func(PlanSample, uint64) (*core.Proc, error) {
-				return nil, nil
+			// A machine that was never reset has no pipeline, so
+			// measure dereferences nil on the helper.
+			measureAll(context.Background(), 1_000, samples, 0, Slots{}, func(PlanSample, uint64, *core.Proc) error {
+				return nil
 			})
 			t.Fatalf("GOMAXPROCS=%d: measureAll returned instead of re-raising", procs)
 		})

@@ -16,13 +16,13 @@ import (
 
 // The sampled-run driver: one functional pass fast-forwards the
 // architectural state along the instruction stream; at each planned
-// sample it clones the memory image, seeds a fresh detailed machine
-// with the emulator's registers and PC (core.SetArchState), runs a
-// configurable detailed warmup to re-heat the microarchitectural
-// structures, then measures the sample interval and discards the
-// machine. Machines are built in plan order and measured concurrently
-// (measureAll). The measurements stitch into whole-run estimates
-// weighted by cluster size.
+// sample it clones the memory image, resets a detailed machine and
+// seeds it with the emulator's registers and PC (core.SetArchState),
+// runs a configurable detailed warmup to re-heat the
+// microarchitectural structures, then measures the sample interval and
+// hands the machine on to a later sample. Machines are built in plan
+// order and measured concurrently (measureAll). The measurements
+// stitch into whole-run estimates weighted by cluster size.
 
 // MetricNames lists the per-sample metrics, in reporting order. All are
 // rates, so they extrapolate: ipc/cpi per committed instruction,
@@ -103,14 +103,41 @@ func metricsOf(a, b *core.Stats) (uint64, uint64, []float64) {
 	}
 }
 
+// Slots lends a sampled run the detailed machines it steps. Own is the
+// caller's machine, which the run always holds; Idle is a pool of idle
+// machines the run borrows from without ever waiting on it, and gives
+// back when it returns. A nil Own is a new machine, and a nil Idle a
+// private pool of GOMAXPROCS-1 more, so the zero Slots steps at most
+// GOMAXPROCS machines at once. Every sample resets the machine it gets
+// (core.Proc.Reset), so which one it gets never shows in the Estimate.
+type Slots struct {
+	Own  *core.Proc
+	Idle chan *core.Proc
+}
+
+// orPrivate fills in the zero fields of sl as Slots documents.
+func (sl Slots) orPrivate() Slots {
+	if sl.Own == nil {
+		sl.Own = new(core.Proc)
+	}
+	if sl.Idle == nil {
+		n := runtime.GOMAXPROCS(0) - 1
+		sl.Idle = make(chan *core.Proc, n)
+		for range n {
+			sl.Idle <- new(core.Proc)
+		}
+	}
+	return sl
+}
+
 // Run executes the sampling plan: one functional pass over the
-// workload, one transient detailed machine per sample. cfg is the
-// detailed machine configuration (its MaxInstr/MaxCycles are ignored —
-// the plan bounds each sample). warmup is the detailed warmup in
-// instructions before each measured interval. ctx cancels between
-// samples. The emulator keeps fast-forwarding and warming while
-// earlier samples are measured (see measureAll).
-func Run(ctx context.Context, plan *Plan, prog *isa.Program, image *mem.Memory, cfg core.Config, warmup uint64) (*Estimate, error) {
+// workload, then each sample measured on a machine from slots, reset
+// for it. cfg is the detailed machine configuration (its
+// MaxInstr/MaxCycles are ignored — the plan bounds each sample). warmup
+// is the detailed warmup in instructions before each measured interval.
+// ctx cancels between samples. The emulator keeps fast-forwarding and
+// warming while earlier samples are measured (see measureAll).
+func Run(ctx context.Context, plan *Plan, prog *isa.Program, image *mem.Memory, cfg core.Config, warmup uint64, slots Slots) (*Estimate, error) {
 	if len(plan.Samples) == 0 {
 		return nil, fmt.Errorf("sample: empty plan")
 	}
@@ -124,19 +151,15 @@ func Run(ctx context.Context, plan *Plan, prog *isa.Program, image *mem.Memory, 
 	cpu := emu.New(m)
 	w := newWarmer(&cfg)
 
-	return measureAll(ctx, plan.TotalInstr, plan.Samples, warmup, func(s PlanSample, warmupInstr uint64) (*core.Proc, error) {
+	return measureAll(ctx, plan.TotalInstr, plan.Samples, warmup, slots, func(s PlanSample, warmupInstr uint64, proc *core.Proc) error {
 		if err := w.warmTo(cpu, prog, s.Start-warmupInstr, s.Start); err != nil {
-			return nil, err
+			return err
 		}
-		proc, err := newMachine(prog, cfg, s, warmupInstr, cpu.Mem.Clone(), cpu.Regs, cpu.PC)
-		if err != nil {
-			return nil, err
+		if err := resetMachine(proc, prog, cfg, s, warmupInstr, cpu.Mem.Clone(), cpu.Regs, cpu.PC); err != nil {
+			return err
 		}
 		// The transplant copies, so the warmer stays with the emulator.
-		if err := w.adoptInto(proc); err != nil {
-			return nil, err
-		}
-		return proc, nil
+		return w.adoptInto(proc)
 	})
 }
 
@@ -150,34 +173,60 @@ func warmStart(s PlanSample, warmup uint64) uint64 {
 }
 
 // measureAll is the sampled pipeline Run and RunFromState share. On
-// the calling goroutine it builds each sample's machine in plan order
-// — build fast-forwards or decodes to the sample and returns a machine
-// with its architectural and warm state installed — and hands the
-// machine to a helper goroutine that steps it through warmup and
-// measurement. A slot semaphore keeps at most GOMAXPROCS machines in
-// flight and the producer blocks while all are busy, so with
-// GOMAXPROCS=1 each sample is measured before the next is built. Each
-// result lands in its plan slot and stitching runs over the slots in
-// plan order, so the Estimate does not depend on the worker count. The
-// first error (build errors arise in plan order; ctx is checked
-// between samples) stops production, and measureAll returns it once
-// the samples in flight finish. A panic in a helper is re-raised here
-// after they do, as a measurePanic carrying the helper's stack.
-func measureAll(ctx context.Context, total uint64, samples []PlanSample, warmup uint64, build func(s PlanSample, warmupInstr uint64) (*core.Proc, error)) (*Estimate, error) {
+// the calling goroutine it takes a machine for each sample in plan
+// order and builds the sample into it — build fast-forwards or decodes
+// to the sample and resets the machine with its architectural and warm
+// state installed — then hands the machine to a helper goroutine that
+// steps it through warmup and measurement and gives it back. The
+// machines come from slots: the run's own, free again once its helper
+// is done, or, while that one is busy, an idle machine borrowed from
+// slots.Idle without waiting; the producer blocks only when every
+// machine it holds is busy. So the machines in flight never exceed the
+// caller's own plus the pool — with one CPU and a private pool, each
+// sample is measured before the next is built — and measureAll never
+// waits on the pool, so it cannot deadlock with its lenders. Borrowed
+// machines go back to the pool when measureAll returns. Each result
+// lands in its plan slot and stitching runs over the slots in plan
+// order, so the Estimate depends neither on the worker count nor on
+// which machine measured what. The first error (build errors arise in
+// plan order; ctx is checked between samples) stops production, and
+// measureAll returns it once the samples in flight finish. A panic in
+// a helper is re-raised here after they do, as a measurePanic carrying
+// the helper's stack.
+func measureAll(ctx context.Context, total uint64, samples []PlanSample, warmup uint64, slots Slots, build func(s PlanSample, warmupInstr uint64, proc *core.Proc) error) (*Estimate, error) {
+	slots = slots.orPrivate()
 	est := &Estimate{TotalInstr: total, Samples: make([]SampleResult, len(samples))}
 	detailed := make([]uint64, len(samples))
 	panics := make([]*measurePanic, len(samples))
-	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	// free holds the machines this run has and is not stepping: its
+	// own plus at most every machine of the pool.
+	free := make(chan *core.Proc, 1+cap(slots.Idle))
+	free <- slots.Own
+	var borrowed []*core.Proc
+	defer func() {
+		for _, m := range borrowed {
+			slots.Idle <- m
+		}
+	}()
 	var wg sync.WaitGroup
 	var err error
 	for i, s := range samples {
-		slots <- struct{}{}
+		var proc *core.Proc
+		select {
+		case proc = <-free:
+		default:
+			select {
+			case proc = <-slots.Idle:
+				borrowed = append(borrowed, proc)
+			default:
+				proc = <-free
+			}
+		}
 		if err = ctx.Err(); err != nil {
 			break
 		}
 		warmupInstr := s.Start - warmStart(s, warmup)
-		var proc *core.Proc
-		if proc, err = build(s, warmupInstr); err != nil {
+		if err = build(s, warmupInstr, proc); err != nil {
 			break
 		}
 		wg.Add(1)
@@ -186,9 +235,15 @@ func measureAll(ctx context.Context, total uint64, samples []PlanSample, warmup 
 				if v := recover(); v != nil {
 					panics[i] = &measurePanic{Value: v, Stack: debug.Stack()}
 				}
-				<-slots
+				if measureHook != nil {
+					measureHook(-1)
+				}
+				free <- proc
 				wg.Done()
 			}()
+			if measureHook != nil {
+				measureHook(+1)
+			}
 			est.Samples[i], detailed[i] = measure(proc, s, warmupInstr)
 		}()
 	}
@@ -208,6 +263,11 @@ func measureAll(ctx context.Context, total uint64, samples []PlanSample, warmup 
 	return est, nil
 }
 
+// measureHook, when set, sees +1 as a helper starts stepping a sample
+// machine and -1 as it stops: the tests' window on how many machines
+// step at once.
+var measureHook func(delta int)
+
 // measurePanic is what measureAll re-raises when a helper goroutine
 // panicked: the recovered value plus the helper's stack, which the
 // re-panic on the calling goroutine would otherwise lose.
@@ -220,21 +280,17 @@ func (p *measurePanic) String() string {
 	return fmt.Sprintf("%v\n\nsample-measuring goroutine stack:\n%s", p.Value, p.Stack)
 }
 
-// newMachine is the build step both paths share: a fresh detailed
-// machine over m, bounded to sample s's warmup plus measurement, with
-// the architectural state at the warmup start. The caller installs the
-// warm state.
-func newMachine(prog *isa.Program, cfg core.Config, s PlanSample, warmupInstr uint64, m *mem.Memory, regs [isa.NumLogical]uint64, pc int) (*core.Proc, error) {
+// resetMachine is the build step both paths share: proc reset to a
+// detailed machine over m, bounded to sample s's warmup plus
+// measurement, with the architectural state at the warmup start. The
+// caller installs the warm state.
+func resetMachine(proc *core.Proc, prog *isa.Program, cfg core.Config, s PlanSample, warmupInstr uint64, m *mem.Memory, regs [isa.NumLogical]uint64, pc int) error {
 	cfg.MaxInstr = warmupInstr + s.Len
 	cfg.MaxCycles = 0
-	proc, err := core.New(cfg, prog, m)
-	if err != nil {
-		return nil, err
+	if err := proc.Reset(cfg, prog, m); err != nil {
+		return err
 	}
-	if err := proc.SetArchState(regs, pc); err != nil {
-		return nil, err
-	}
-	return proc, nil
+	return proc.SetArchState(regs, pc)
 }
 
 // measure is the run step: it steps a built machine through the

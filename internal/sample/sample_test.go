@@ -142,7 +142,7 @@ func TestSampledAccuracy(t *testing.T) {
 		}
 		plan := prof.BuildPlan(tc.k)
 		ccfg := core.DefaultConfig(core.ModeCI)
-		est, err := Run(context.Background(), plan, wl.Program, wl.NewMem(), ccfg, tc.warmup)
+		est, err := Run(context.Background(), plan, wl.Program, wl.NewMem(), ccfg, tc.warmup, Slots{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestRunDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := Run(context.Background(), prof.BuildPlan(3), wl.Program, wl.NewMem(), core.DefaultConfig(core.ModeCI), 1_000)
+		est, err := Run(context.Background(), prof.BuildPlan(3), wl.Program, wl.NewMem(), core.DefaultConfig(core.ModeCI), 1_000, Slots{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func TestRunCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, prof.BuildPlan(3), wl.Program, wl.NewMem(), core.DefaultConfig(core.ModeCI), 500); err == nil {
+	if _, err := Run(ctx, prof.BuildPlan(3), wl.Program, wl.NewMem(), core.DefaultConfig(core.ModeCI), 500, Slots{}); err == nil {
 		t.Fatal("canceled run returned no error")
 	}
 }

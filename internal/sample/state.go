@@ -27,7 +27,7 @@ import (
 //
 // The contract is bit-identity: RunFromState over a capture must
 // return exactly the Estimate Run would produce live. Both drive the
-// same pipeline (measureAll, newMachine, measure); where Run copies
+// same pipeline (measureAll, resetMachine, measure); where Run copies
 // the live warmer into each machine (core.AdoptWarmState),
 // RunFromState decodes the captured structures straight into it
 // (core.LoadWarmState).
@@ -188,7 +188,7 @@ func RunFromState(ctx context.Context, data []byte, prog *isa.Program, image *me
 		return nil, err
 	}
 
-	est, err := measureAll(ctx, info.Plan.TotalInstr, info.Plan.Samples, info.Warmup, func(s PlanSample, warmupInstr uint64) (*core.Proc, error) {
+	est, err := measureAll(ctx, info.Plan.TotalInstr, info.Plan.Samples, info.Warmup, Slots{}, func(s PlanSample, warmupInstr uint64, proc *core.Proc) error {
 		d.Tag("sample")
 		pc := d.Int()
 		var regs [isa.NumLogical]uint64
@@ -197,16 +197,12 @@ func RunFromState(ctx context.Context, data []byte, prog *isa.Program, image *me
 		}
 		m := mem.LoadDelta(d, image)
 		if err := d.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		proc, err := newMachine(prog, info.Config, s, warmupInstr, m, regs, pc)
-		if err != nil {
-			return nil, err
+		if err := resetMachine(proc, prog, info.Config, s, warmupInstr, m, regs, pc); err != nil {
+			return err
 		}
-		if err := proc.LoadWarmState(d); err != nil {
-			return nil, err
-		}
-		return proc, nil
+		return proc.LoadWarmState(d)
 	})
 	if err != nil {
 		return nil, err

@@ -29,7 +29,7 @@ func TestStateBitIdentical(t *testing.T) {
 		cfg := core.DefaultConfig(core.ModeCI)
 		const warmup = 2_000
 
-		live, err := Run(context.Background(), plan, wl.Program, wl.NewMem(), cfg, warmup)
+		live, err := Run(context.Background(), plan, wl.Program, wl.NewMem(), cfg, warmup, Slots{})
 		if err != nil {
 			t.Fatal(err)
 		}

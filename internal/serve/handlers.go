@@ -67,6 +67,12 @@ func readSpec(body io.Reader, cfg *Config) (JobSpec, *sim.Workload, []sim.Option
 	if err := dec.Decode(&spec); err != nil {
 		return spec, nil, nil, badRequestf("invalid job spec: %v", err)
 	}
+	// A body is exactly one JSON value: a second one would otherwise
+	// be silently ignored.
+	var extra json.RawMessage
+	if err := dec.Decode(&extra); err != io.EOF {
+		return spec, nil, nil, badRequestf("invalid job spec: trailing data after the JSON object")
+	}
 	wl, opts, err := spec.resolve(cfg)
 	return spec, wl, opts, err
 }

@@ -30,7 +30,8 @@ type JobSpec struct {
 	StridedPCs int `json:"strided_pcs,omitempty"`
 	// SpecMem positions (0 = none; at most MaxSpecMem).
 	SpecMem int `json:"spec_mem,omitempty"`
-	// SpecMemLat is the speculative memory latency in cycles.
+	// SpecMemLat is the speculative memory latency in cycles (0 = the
+	// default; at most MaxSpecMemLat).
 	SpecMemLat int `json:"spec_mem_lat,omitempty"`
 	// NoDAEC disables the DAEC register reclamation.
 	NoDAEC bool `json:"no_daec,omitempty"`
@@ -106,6 +107,9 @@ func (sp *JobSpec) resolve(cfg *Config) (*sim.Workload, []sim.Option, error) {
 	}
 	if sp.SpecMem < 0 || sp.SpecMem > MaxSpecMem {
 		return nil, nil, badRequestf("spec_mem %d out of range [0, %d]", sp.SpecMem, MaxSpecMem)
+	}
+	if sp.SpecMemLat < 0 || sp.SpecMemLat > MaxSpecMemLat {
+		return nil, nil, badRequestf("spec_mem_lat %d out of range [0, %d]", sp.SpecMemLat, MaxSpecMemLat)
 	}
 	opts := []sim.Option{
 		sim.WithMode(mode),

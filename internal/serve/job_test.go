@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -28,6 +29,9 @@ func TestOversizedSpecRejectedBounded(t *testing.T) {
 		{Workload: "gcc", SpecMem: 1 << 20},
 		{Workload: "gcc", SpecMem: MaxSpecMem + 1},
 		{Workload: "gcc", SpecMem: -1},
+		{Workload: "gcc", SpecMem: 768, SpecMemLat: 1_000_000},
+		{Workload: "gcc", SpecMem: 768, SpecMemLat: MaxSpecMemLat + 1},
+		{Workload: "gcc", SpecMem: 768, SpecMemLat: -1},
 	} {
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -35,8 +39,8 @@ func TestOversizedSpecRejectedBounded(t *testing.T) {
 		_, _, err := sp.resolve(&cfg)
 		runtime.ReadMemStats(&after)
 		if c := Classify(err); c != ClassBadRequest {
-			t.Errorf("regs %d ports %d spec_mem %d: class %q (%v), want %q",
-				sp.Regs, sp.Ports, sp.SpecMem, c, err, ClassBadRequest)
+			t.Errorf("regs %d ports %d spec_mem %d spec_mem_lat %d: class %q (%v), want %q",
+				sp.Regs, sp.Ports, sp.SpecMem, sp.SpecMemLat, c, err, ClassBadRequest)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
 			t.Errorf("regs %d ports %d spec_mem %d: rejecting allocated %d bytes",
@@ -45,12 +49,33 @@ func TestOversizedSpecRejectedBounded(t *testing.T) {
 	}
 	// The ceilings themselves are admitted.
 	for _, sp := range []JobSpec{
-		{Workload: "gcc", Regs: MaxRegs, Ports: MaxPorts, SpecMem: MaxSpecMem},
+		{Workload: "gcc", Regs: MaxRegs, Ports: MaxPorts, SpecMem: MaxSpecMem, SpecMemLat: MaxSpecMemLat},
 		{Workload: "gcc", Regs: -1},
 	} {
 		if _, _, err := sp.resolve(&cfg); err != nil {
 			t.Errorf("spec at the ceilings %+v rejected: %v", sp, err)
 		}
+	}
+}
+
+// TestReadSpecOneValue: a body is exactly one JSON value. A second
+// value after the spec was once decoded past and ignored, so the body
+// below ran as the gcc spec; now any trailing value is a bad request,
+// while trailing whitespace is not.
+func TestReadSpecOneValue(t *testing.T) {
+	cfg := Config{MaxInstrPerJob: 10_000}.withDefaults()
+	for _, body := range []string{
+		`{"workload":"gcc","max_instr":5000} {"workload":"mcf","regs":99999999}`,
+		`{"workload":"gcc","max_instr":5000}{}`,
+		`{"workload":"gcc","max_instr":5000} 7`,
+		`{"workload":"gcc","max_instr":5000} {`,
+	} {
+		if _, _, _, err := readSpec(strings.NewReader(body), &cfg); Classify(err) != ClassBadRequest {
+			t.Errorf("body %q: err = %v, want a bad request", body, err)
+		}
+	}
+	if _, _, _, err := readSpec(strings.NewReader("{\"workload\":\"gcc\",\"max_instr\":5000}\n \t"), &cfg); err != nil {
+		t.Errorf("spec with trailing whitespace rejected: %v", err)
 	}
 }
 
@@ -76,6 +101,9 @@ func FuzzJobSpec(f *testing.F) {
 		`{"workload":"gcc","regs":65536}`,
 		`{"workload":"gcc","spec_mem":1048576}`,
 		`{"workload":"gcc","ports":1024}`,
+		`{"workload":"gcc","spec_mem":768,"spec_mem_lat":1000000,"max_instr":5000}`,
+		// Trailing values after the spec.
+		`{"workload":"gcc","max_instr":5000} {"workload":"mcf","regs":99999999}`,
 		// Valid specs.
 		`{"workload":"gcc","max_instr":5000}`,
 		`{"workload":"mcf","mode":"vect","engine":"event","ports":2,"regs":768,"replicas":4,` +
@@ -98,7 +126,8 @@ func FuzzJobSpec(f *testing.F) {
 			t.Fatalf("body %q accepted without a workload", body)
 		}
 		if spec.Regs < -1 || spec.Regs > MaxRegs || spec.Ports < 0 || spec.Ports > MaxPorts ||
-			spec.SpecMem < 0 || spec.SpecMem > MaxSpecMem || spec.MaxInstr > cfg.MaxInstrPerJob {
+			spec.SpecMem < 0 || spec.SpecMem > MaxSpecMem || spec.MaxInstr > cfg.MaxInstrPerJob ||
+			spec.SpecMemLat < 0 || spec.SpecMemLat > MaxSpecMemLat {
 			t.Fatalf("body %q accepted outside the ceilings: %+v", body, spec)
 		}
 		if k := spec.CheckpointKey; strings.ContainsAny(k, "/\\") || strings.HasPrefix(k, ".") {
@@ -106,6 +135,12 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if _, err := json.Marshal(spec); err != nil {
 			t.Fatalf("accepted spec does not render: %v", err)
+		}
+		// An accepted body is exactly one JSON value.
+		dec := json.NewDecoder(bytes.NewReader(body))
+		var first, second json.RawMessage
+		if dec.Decode(&first) != nil || dec.Decode(&second) != io.EOF {
+			t.Fatalf("body %q accepted with trailing data", body)
 		}
 	})
 }

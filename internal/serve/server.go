@@ -97,11 +97,15 @@ type Config struct {
 // its register file, ports and speculative memory grow with the spec
 // (regs 1,000,000 allocates about 600 MB, spec_mem 100,000,000 about
 // 1.7 GB). The registry's largest configurations use 768 regs, 2 ports
-// and 768 spec-mem positions.
+// and 768 spec-mem positions. MaxSpecMemLat bounds run time instead: a
+// spec memory slower than the simulator's 500k-cycle no-commit
+// watchdog (spec_mem_lat 1,000,000) can never finish, and the paper
+// evaluates latencies of 2 and 5 cycles.
 const (
-	MaxRegs    = 4096
-	MaxPorts   = 16
-	MaxSpecMem = 4096
+	MaxRegs       = 4096
+	MaxPorts      = 16
+	MaxSpecMem    = 4096
+	MaxSpecMemLat = 1000
 )
 
 func (c Config) withDefaults() Config {

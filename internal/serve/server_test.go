@@ -192,6 +192,8 @@ func TestSubmitBadRequests(t *testing.T) {
 		{"trace-without-dir", `{"workload":"gcc","trace":true}`},
 		{"trace-level-without-trace", `{"workload":"gcc","trace_level":"full"}`},
 		{"bad-trace-window", `{"workload":"gcc","trace":true,"trace_first":100,"trace_last":5}`},
+		{"spec-mem-lat-over-ceiling", `{"workload":"gcc","spec_mem":768,"spec_mem_lat":1000000,"max_instr":5000}`},
+		{"trailing-value", `{"workload":"gcc","max_instr":5000} {"workload":"mcf","regs":99999999}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

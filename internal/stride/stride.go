@@ -33,13 +33,27 @@ type Predictor struct {
 
 // New builds a predictor with the given geometry.
 func New(sets, assoc int) *Predictor {
+	p := new(Predictor)
+	p.Reset(sets, assoc)
+	return p
+}
+
+// Reset re-initializes p in place as an empty table of the given
+// geometry, reusing the way array when its size is unchanged.
+func (p *Predictor) Reset(sets, assoc int) {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("stride: sets must be a positive power of two")
 	}
 	if assoc <= 0 {
 		panic("stride: associativity must be positive")
 	}
-	return &Predictor{sets: sets, assoc: assoc, ways: make([]Entry, sets*assoc)}
+	ways := p.ways
+	if len(ways) == sets*assoc {
+		clear(ways)
+	} else {
+		ways = make([]Entry, sets*assoc)
+	}
+	*p = Predictor{sets: sets, assoc: assoc, ways: ways}
 }
 
 func (p *Predictor) set(pc uint64) []Entry {
@@ -111,10 +125,3 @@ func (e *Entry) NextAddrs(dst []uint64, n int) []uint64 {
 // PC + last address + stride fields dominate; 4 ways × 256 sets × 24 =
 // 24576 bytes in the paper's configuration).
 func (p *Predictor) SizeBytes() int { return p.sets * p.assoc * 24 }
-
-// Flush invalidates all entries.
-func (p *Predictor) Flush() {
-	for i := range p.ways {
-		p.ways[i] = Entry{}
-	}
-}

@@ -160,12 +160,16 @@ func TestSizeBytes(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
+func TestReset(t *testing.T) {
 	p := New(256, 4)
 	p.Observe(0x50, 0)
-	p.Flush()
-	if p.Lookup(0x50) != nil {
-		t.Error("flush should drop entries")
+	p.Reset(256, 4)
+	if p.Lookup(0x50) != nil || p.clock != 0 {
+		t.Error("reset should drop entries and the LRU clock")
+	}
+	p.Reset(64, 2)
+	if p.SizeBytes() != 64*2*24 || len(p.ways) != 128 {
+		t.Errorf("reset to 64x2 left %d ways", len(p.ways))
 	}
 }
 

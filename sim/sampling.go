@@ -47,9 +47,9 @@ func (sc SamplingConfig) withDefaults() SamplingConfig {
 // budget (WithInstrBudget) bounds the profiled stream (0 profiles to
 // the program's halt — the intended use for the .ultra tier). Sampled
 // sessions cannot be stepped, traced or observed, and cannot write
-// checkpoints. Run measures the samples concurrently, with up to
-// GOMAXPROCS sample machines in flight; the estimate is the same at any
-// GOMAXPROCS.
+// checkpoints. Run measures the samples concurrently on recycled
+// machines, GOMAXPROCS at most (in a Set, within Workers); the
+// estimate is the same at any GOMAXPROCS.
 func WithSampling(sc SamplingConfig) Option {
 	return func(s *settings) {
 		if sc.Clusters < 0 {
@@ -126,7 +126,7 @@ func (s *Session) runSampled(ctx context.Context) (*Result, error) {
 		return nil, seal(err)
 	}
 	plan := prof.BuildPlan(sc.Clusters)
-	est, err := sample.Run(ctx, plan, s.w.prog, s.w.newMem(), s.cfg, sc.Warmup)
+	est, err := sample.Run(ctx, plan, s.w.prog, s.w.newMem(), s.cfg, sc.Warmup, sample.Slots{Own: s.proc, Idle: s.idle})
 	if err != nil {
 		return nil, seal(err)
 	}

@@ -5,7 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+
+	"civect/internal/core"
+	"civect/internal/sample"
 )
 
 // Point is one configuration point of a Set: the workload to simulate
@@ -34,22 +38,23 @@ type PointResult struct {
 // Set is a sweep of configuration points, over one workload or
 // several: the supported way to run many simulations under one
 // concurrency bound. Build one with NewSet, then stream the results
-// with Sweep (or collect them with Run). Every point is a Session
-// built as New builds it. Points that start from the same program and
-// initial image with exactly equal resolved configurations are
-// simulated once and the Result copied to each (the simulator is
-// deterministic, so coalescing is never observable). Two Load calls of
-// one name share their program and image, so their points coalesce;
-// Custom workloads and workloads changed by SetWord own theirs. Points
-// that observe, trace, sample or write checkpoints always run alone.
+// with Sweep (or collect them with Run). Every point is a Session as
+// New builds it, on a machine its worker recycles. Points that start
+// from the same program and initial image with exactly equal resolved
+// configurations are simulated once and the Result copied to each (the
+// simulator is deterministic, so coalescing is never observable). Two
+// Load calls of one name share their program and image, so their
+// points coalesce; Custom workloads and workloads changed by SetWord
+// own theirs. Points that observe, trace, sample or write checkpoints
+// always run alone.
 //
 // A Set is single-use and, once swept, sealed; the Workers knob must
 // be set before Sweep is called. Sets are not safe for concurrent use
 // (the Sweep result channel is).
 type Set struct {
-	// Workers bounds how many simulations run concurrently; 0 or
-	// negative uses GOMAXPROCS. Results are bit-identical for every
-	// Workers value.
+	// Workers bounds how many machines step at once, sampled
+	// points' helpers included; 0 or negative uses GOMAXPROCS.
+	// Results are bit-identical for every Workers value.
 	Workers int
 
 	points []point
@@ -136,16 +141,32 @@ func (s *Set) Sweep(ctx context.Context) <-chan PointResult {
 	}
 
 	units := partition(s.points)
+	slices.SortStableFunc(units, func(a, b []int) int {
+		return slices.Compare(shapeOf(&s.points[a[0]].st.cfg), shapeOf(&s.points[b[0]].st.cfg))
+	})
 
+	// Every worker is a slot that owns one machine for the sweep and
+	// resets it for each unit, and the sort above makes consecutive
+	// units share a shape, so a reset reuses the machine's tables. The
+	// slots no worker needs, and those of workers that have run out of
+	// units, wait in idle for a sampled unit's helpers to borrow
+	// (sample.Slots), so at most workers machines ever step at once.
+	running := min(workers, len(units))
+	idle := make(chan *core.Proc, workers) // one place per slot
+	for range workers - running {
+		idle <- new(core.Proc)
+	}
 	unitCh := make(chan []int)
 	var wg sync.WaitGroup
-	for k := 0; k < workers && k < len(units); k++ {
+	for range running {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			slots := sample.Slots{Own: new(core.Proc), Idle: idle}
 			for u := range unitCh {
-				s.runUnit(ctx, u, out)
+				s.runUnit(ctx, u, slots, out)
 			}
+			idle <- slots.Own
 		}()
 	}
 	go func() {
@@ -170,7 +191,7 @@ type unitKey struct {
 // point indices one simulation serves. Points coalesce by unitKey
 // across the whole set: a later duplicate joins the unit that first
 // took its key. Solo points always get a unit of their own. Units keep
-// first-occurrence order.
+// first-occurrence order (Sweep then orders them by shape).
 func partition(points []point) [][]int {
 	var units [][]int
 	first := make(map[unitKey]int, len(points))
@@ -188,12 +209,30 @@ func partition(points []point) [][]int {
 	return units
 }
 
-// runUnit simulates one sweep unit as a Session and delivers its
-// outcome to every point the unit covers, each with its own copy of
-// the Result.
-func (s *Set) runUnit(ctx context.Context, unit []int, out chan<- PointResult) {
+// shapeOf lists the configuration fields that size a machine's
+// storage — the window, the register file, the LSQ, the four cache
+// geometries and the predictor and CI tables — in Sweep's sort order.
+// Consecutive units of one shape reset one machine without allocating
+// its tables again.
+func shapeOf(c *Config) []int {
+	h := &c.Hier
+	return []int{
+		c.WindowSize, c.PhysRegs, c.LSQSize,
+		h.L1I.SizeBytes, h.L1I.LineBytes, h.L1I.Assoc,
+		h.L1D.SizeBytes, h.L1D.LineBytes, h.L1D.Assoc,
+		h.L2.SizeBytes, h.L2.LineBytes, h.L2.Assoc,
+		h.L3.SizeBytes, h.L3.LineBytes, h.L3.Assoc,
+		c.GshareEntries, c.MBSSets, c.MBSAssoc, c.StrideSets, c.StrideAssoc,
+		c.SRSMTSets, c.SRSMTAssoc, c.NRBQEntries, c.SpecMemSize,
+	}
+}
+
+// runUnit simulates one sweep unit as a Session on the worker's
+// machine and delivers its outcome to every point the unit covers,
+// each with its own copy of the Result.
+func (s *Set) runUnit(ctx context.Context, unit []int, slots sample.Slots, out chan<- PointResult) {
 	p := &s.points[unit[0]]
-	sess, err := newSession(p.w, p.st)
+	sess, err := newSession(p.w, p.st, slots)
 	var res *Result
 	if err == nil {
 		res, err = sess.Run(ctx)

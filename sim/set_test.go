@@ -398,3 +398,46 @@ func TestSetSingleUse(t *testing.T) {
 		t.Errorf("%d points reported, want %d", seen, set.Len())
 	}
 }
+
+// TestSetRecycledSlotDiff sweeps a heterogeneous set on one worker, so
+// a single recycled machine runs every point — all five modes, both
+// tiers, window, register and cache-geometry changes and a sampled
+// point — and requires each point's Result to equal a lone Session's.
+func TestSetRecycledSlotDiff(t *testing.T) {
+	gcc, mcf, big := mustLoad(t, "gcc"), mustLoad(t, "mcf"), mustLoad(t, "gcc.big")
+	budget := sim.WithInstrBudget(6_000)
+	pts := []sim.Point{
+		{Workload: gcc, Options: []sim.Option{budget, sim.WithMode(sim.CI)}},
+		{Workload: big, Options: []sim.Option{budget, sim.WithMode(sim.Scalar)}},
+		{Workload: mcf, Options: []sim.Option{budget, sim.WithMode(sim.CIIW), sim.WithRegs(768)}},
+		{Workload: gcc, Options: []sim.Option{budget, sim.WithMode(sim.Vect), sim.WithConfigPatch(func(c *sim.Config) {
+			c.Hier.L1D.SizeBytes, c.Hier.L2.Assoc = 16<<10, 8
+		})}},
+		{Workload: gcc, Options: []sim.Option{sim.WithInstrBudget(60_000),
+			sim.WithSampling(sim.SamplingConfig{IntervalLen: 4_000, Clusters: 3, Warmup: 1_000})}},
+		{Workload: mcf, Options: []sim.Option{budget, sim.WithMode(sim.WideBus), sim.WithRegs(0), sim.WithPorts(2)}},
+		{Workload: big, Options: []sim.Option{budget, sim.WithMode(sim.CI), sim.WithSpecMem(768)}},
+		{Workload: gcc, Options: []sim.Option{budget, sim.WithMode(sim.CI)}},
+	}
+	want := make([]*sim.Result, len(pts))
+	for i, p := range pts {
+		sess, err := sim.New(p.Workload, p.Options...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = sess.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set, err := sim.NewSet(pts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.Workers = 1
+	for i, got := range collect(t, set) {
+		if got.Stats != want[i].Stats || !reflect.DeepEqual(got.Sampled, want[i].Sampled) || got.IPC != want[i].IPC {
+			t.Errorf("point %d: recycled-slot Result diverges from a lone Session's:\ngot:  %+v %+v\nwant: %+v %+v",
+				i, got.Stats, got.Sampled, want[i].Stats, want[i].Sampled)
+		}
+	}
+}

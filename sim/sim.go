@@ -33,6 +33,7 @@ import (
 	"civect/internal/core"
 	"civect/internal/isa"
 	"civect/internal/mem"
+	"civect/internal/sample"
 	"civect/internal/trace"
 )
 
@@ -213,6 +214,9 @@ type Session struct {
 	ckptPath  string
 	ckptEvery uint64
 	ckptBase  *mem.Memory
+	// idle lends a sampled run more machines: a Set's idle slots, or
+	// nil for a private pool (sample.Slots).
+	idle chan *core.Proc
 }
 
 // New builds a session running workload w under the given options,
@@ -231,19 +235,23 @@ func New(w *Workload, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSession(w, st)
+	return newSession(w, st, sample.Slots{})
 }
 
-// newSession builds the session New describes from resolved settings;
-// a Set builds each of its simulations through it too. A panic while
-// building is returned as a *PanicError.
-func newSession(w *Workload, st settings) (_ *Session, err error) {
+// newSession builds the session New describes from resolved settings,
+// resetting slots.Own (a new machine when nil) for it; a Set builds
+// each of its simulations through it on a worker's machine. A panic
+// while building is returned as a *PanicError.
+func newSession(w *Workload, st settings, slots sample.Slots) (_ *Session, err error) {
 	defer recoverPanic(nil, &err)
-	p, err := core.New(st.cfg, w.prog, w.newMem())
-	if err != nil {
+	p := slots.Own
+	if p == nil {
+		p = new(core.Proc)
+	}
+	if err := p.Reset(st.cfg, w.prog, w.newMem()); err != nil {
 		return nil, err
 	}
-	s := &Session{w: w, cfg: st.cfg, proc: p, sampling: st.sampling, ckptPath: st.ckptPath, ckptEvery: st.ckptEvery}
+	s := &Session{w: w, cfg: st.cfg, proc: p, sampling: st.sampling, ckptPath: st.ckptPath, ckptEvery: st.ckptEvery, idle: slots.Idle}
 	if st.ckptPath != "" {
 		// Capture the pristine initial image now, while it still matches
 		// the processor's: checkpoint memory deltas encode against it.
