@@ -30,7 +30,7 @@ func main() {
 	specMemLat := flag.Int("specmemlat", 2, "speculative data memory latency")
 	noDAEC := flag.Bool("nodaec", false, "disable the DAEC register reclamation")
 	instr := flag.Uint64("instr", 200_000, "committed-instruction budget")
-	jsonOut := flag.Bool("json", false, "emit the result as JSON (the versioned benchfmt-based schema)")
+	jsonOut := flag.Bool("json", false, "emit the result as JSON (the versioned sim.Result schema)")
 	dumpConfig := flag.Bool("dump-config", false, "print the Table 1 configuration and exit")
 	flag.Parse()
 

@@ -77,9 +77,12 @@ func (p *Proc) commitStage() {
 			}
 		} else if h.hasDest && h.value != archVal && h.executed {
 			// A non-reused instruction with a wrong value is a
-			// simulator bug, never a modeled event.
-			panic(fmt.Sprintf("core: architectural mismatch at pc %d (%v): got %d want %d",
-				h.pc, in, h.value, archVal))
+			// simulator bug or forged checkpoint state, never a
+			// modeled event.
+			//civet:allow hotalloc fault path: runs once, then the machine halts
+			p.fault = fmt.Errorf("core: architectural mismatch at pc %d (%v): got %d want %d", h.pc, in, h.value, archVal)
+			p.halted = true
+			return
 		}
 
 		im := p.metaAt(int(h.pc))

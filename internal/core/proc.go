@@ -418,6 +418,12 @@ type Proc struct {
 
 	Stats Stats
 
+	// fault is the inconsistency that stopped the machine: a state no
+	// run of the modeled pipeline reaches, which only a simulator bug or
+	// forged checkpoint state produces. The machine halts on it, and
+	// RunContext and Err report it.
+	fault error
+
 	// spare keeps the components this mode does not use for a later
 	// Reset. It sits last so the hot fields keep their offsets.
 	spare spares
@@ -697,7 +703,11 @@ func (p *Proc) RunContext(ctx context.Context) (*Stats, error) {
 	if maxCycles == 0 {
 		maxCycles = 200_000_000
 	}
-	switch p.runLoop(maxCycles, ctx.Done()) {
+	stop := p.runLoop(maxCycles, ctx.Done())
+	if p.fault != nil {
+		return nil, p.fault
+	}
+	switch stop {
 	case runCycleBound:
 		return nil, fmt.Errorf("core: cycle bound %d exceeded (committed %d)", maxCycles, p.Stats.Committed)
 	case runStalled:
@@ -721,8 +731,11 @@ func (p *Proc) Step() {
 	}
 }
 
-// Halted reports whether the program has committed its halt.
+// Halted reports whether the program has halted or the machine faulted.
 func (p *Proc) Halted() bool { return p.halted }
+
+// Err reports the inconsistency that stopped the machine, or nil.
+func (p *Proc) Err() error { return p.fault }
 
 func (p *Proc) headState() string {
 	if p.robCount == 0 {

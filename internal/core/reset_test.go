@@ -268,15 +268,53 @@ func TestRestoreRejectsForgedConfig(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsForgedROBHead: a CRC-valid checkpoint of a gcc ci
+// machine whose ROB head is rewritten to 2^40 once restored with a nil
+// error and panicked on the first Step. The restore must refuse it.
+func TestRestoreRejectsForgedROBHead(t *testing.T) {
+	b, err := workload.Spec("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := b.NewMem()
+	src, err := New(DefaultConfig(ModeCI), b.Program, b.NewMem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runToCommit(t, src, 500)
+	payload, err := ckpt.Open(src.SaveCheckpoint(base), CheckpointVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rob ckpt.Encoder
+	rob.Tag("rob")
+	rob.Int(len(src.rob))
+	rob.Int(src.robHead)
+	at := bytes.Index(payload, rob.Bytes())
+	if at < 0 {
+		t.Fatal("ROB section not found in the checkpoint")
+	}
+	forged := append([]byte(nil), payload...)
+	var head ckpt.Encoder
+	head.Int(1 << 40)
+	copy(forged[at+rob.Len()-head.Len():], head.Bytes())
+	if p, err := RestoreCheckpoint(ckpt.Seal(CheckpointVersion, forged), b.Program, base); err == nil {
+		p.Step()
+		t.Fatal("checkpoint with ROB head 2^40 restored without error")
+	}
+}
+
 // FuzzRestoreCheckpoint feeds arbitrary checkpoint payloads to
 // RestoreCheckpoint and LoadWarmState, on fresh machines and on a
-// recycled one. The contract is an error, never a panic or a hang, and
-// a failed restore must not leak into the recycled machine's next run:
-// after a Reset it runs exactly as a fresh machine does. The seeds are
-// a real checkpoint payload and a real warm-state capture plus the
-// single-byte flips and truncations TestCheckpointCorruptionRejected
-// applies, here to the payload (resealed, so the decoder rather than
-// the CRC meets the damage).
+// recycled one. The contract is an error, never a panic or a hang;
+// every machine a restore accepts steps 2,000 cycles without a panic
+// (it may stop on a fault, Proc.Err); and a failed restore must not
+// leak into the recycled machine's next run: after a Reset it runs
+// exactly as a fresh machine does. The seeds are a real checkpoint
+// payload and a real warm-state capture plus the single-byte flips and
+// truncations TestCheckpointCorruptionRejected applies, here to the
+// payload (resealed, so the decoder rather than the CRC meets the
+// damage), and the crashers earlier fuzzing found (testdata/fuzz).
 func FuzzRestoreCheckpoint(f *testing.F) {
 	b, err := workload.Spec("gcc")
 	if err != nil {
@@ -311,10 +349,16 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sealed := ckpt.Seal(CheckpointVersion, data)
 		for _, in := range [][]byte{data, sealed} {
-			if p, err := RestoreCheckpoint(in, b.Program, base); err == nil && p == nil {
+			p, err := RestoreCheckpoint(in, b.Program, base)
+			if err == nil && p == nil {
 				t.Fatal("RestoreCheckpoint returned neither a machine nor an error")
 			}
-			slot.restore(in, b.Program, base)
+			if err == nil {
+				stepRestored(p)
+			}
+			if slot.restore(in, b.Program, base) == nil {
+				stepRestored(slot)
+			}
 			// Whatever the restore left behind, a Reset must give the
 			// fresh machine's run back.
 			if err := slot.Reset(cfg, b.Program, b.NewMem()); err != nil {
@@ -331,6 +375,14 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		fresh.LoadWarmState(ckpt.NewDecoder(data))
 		slot.LoadWarmState(ckpt.NewDecoder(data))
 	})
+}
+
+// stepRestored steps a machine a restore accepted for a bounded number
+// of cycles: whatever a restore accepts must step without a panic.
+func stepRestored(p *Proc) {
+	for i := 0; i < 2_000 && !p.halted; i++ {
+		p.step()
+	}
 }
 
 // fuzzConfig is a small machine, so a checkpoint is tens of kilobytes

@@ -69,120 +69,74 @@ func SaveConfigState(e *ckpt.Encoder, c *Config) { saveConfig(e, c) }
 // LoadConfigState decodes a Config written by SaveConfigState.
 func LoadConfigState(d *ckpt.Decoder) Config { return loadConfig(d) }
 
+// configFields lists c's serialized fields in CIVK order. saveConfig
+// and loadConfig both walk it, as saveStats and loadStats walk
+// statsFields, so an encoding and its decoding cannot drift apart.
+func configFields(c *Config) []any {
+	f := []any{&c.Mode, &c.FetchWidth, &c.DecodeWidth, &c.IssueWidth, &c.CommitWidth,
+		&c.FrontEndDepth, &c.WindowSize, &c.LSQSize, &c.IntALUs, &c.IntMulDivs,
+		&c.LatIntALU, &c.LatIntMul, &c.LatIntDiv, &c.PhysRegs, &c.GshareEntries}
+	for _, l := range []*cache.Config{&c.Hier.L1I, &c.Hier.L1D, &c.Hier.L2, &c.Hier.L3} {
+		f = append(f, &l.SizeBytes, &l.LineBytes, &l.Assoc, &l.HitLat, &l.MissLat)
+	}
+	return append(f, &c.Hier.DL1Ports, &c.Hier.WideBus, &c.Hier.WideLoadsPerAccess,
+		&c.Hier.MaxOutstandingMisses, &c.DL1Ports, &c.Replicas, &c.StridedPCsPerEntry,
+		&c.StrideSets, &c.StrideAssoc, &c.SRSMTSets, &c.SRSMTAssoc, &c.MBSSets, &c.MBSAssoc,
+		&c.NRBQEntries, &c.SpecMemSize, &c.SpecMemLat, &c.ReplicaRegReserve, &c.RenameRegHeadroom,
+		&c.DisableDAEC, &c.DisableMBSGate, &c.NaiveScheduler, &c.NoFastForward,
+		&c.CommitRecomputeAll, &c.EmulateAliasedWorklist, &c.MaxInstr, &c.MaxCycles)
+}
+
 func saveConfig(e *ckpt.Encoder, c *Config) {
 	e.Tag("config")
-	e.Int(int(c.Mode))
-	e.Int(c.FetchWidth)
-	e.Int(c.DecodeWidth)
-	e.Int(c.IssueWidth)
-	e.Int(c.CommitWidth)
-	e.Int(c.FrontEndDepth)
-	e.Int(c.WindowSize)
-	e.Int(c.LSQSize)
-	e.Int(c.IntALUs)
-	e.Int(c.IntMulDivs)
-	e.Int(c.LatIntALU)
-	e.Int(c.LatIntMul)
-	e.Int(c.LatIntDiv)
-	e.Int(c.PhysRegs)
-	e.Int(c.GshareEntries)
-	for _, cc := range []struct{ SizeBytes, LineBytes, Assoc, HitLat, MissLat int }{
-		{c.Hier.L1I.SizeBytes, c.Hier.L1I.LineBytes, c.Hier.L1I.Assoc, c.Hier.L1I.HitLat, c.Hier.L1I.MissLat},
-		{c.Hier.L1D.SizeBytes, c.Hier.L1D.LineBytes, c.Hier.L1D.Assoc, c.Hier.L1D.HitLat, c.Hier.L1D.MissLat},
-		{c.Hier.L2.SizeBytes, c.Hier.L2.LineBytes, c.Hier.L2.Assoc, c.Hier.L2.HitLat, c.Hier.L2.MissLat},
-		{c.Hier.L3.SizeBytes, c.Hier.L3.LineBytes, c.Hier.L3.Assoc, c.Hier.L3.HitLat, c.Hier.L3.MissLat},
-	} {
-		e.Int(cc.SizeBytes)
-		e.Int(cc.LineBytes)
-		e.Int(cc.Assoc)
-		e.Int(cc.HitLat)
-		e.Int(cc.MissLat)
+	for _, f := range configFields(c) {
+		saveField(e, f)
 	}
-	e.Int(c.Hier.DL1Ports)
-	e.Bool(c.Hier.WideBus)
-	e.Int(c.Hier.WideLoadsPerAccess)
-	e.Int(c.Hier.MaxOutstandingMisses)
-	e.Int(c.DL1Ports)
-	e.Int(c.Replicas)
-	e.Int(c.StridedPCsPerEntry)
-	e.Int(c.StrideSets)
-	e.Int(c.StrideAssoc)
-	e.Int(c.SRSMTSets)
-	e.Int(c.SRSMTAssoc)
-	e.Int(c.MBSSets)
-	e.Int(c.MBSAssoc)
-	e.Int(c.NRBQEntries)
-	e.Int(c.SpecMemSize)
-	e.Int(c.SpecMemLat)
-	e.Int(c.ReplicaRegReserve)
-	e.Int(c.RenameRegHeadroom)
-	e.Bool(c.DisableDAEC)
-	e.Bool(c.DisableMBSGate)
-	e.Bool(c.NaiveScheduler)
-	e.Bool(c.NoFastForward)
-	e.Bool(c.CommitRecomputeAll)
-	e.Bool(c.EmulateAliasedWorklist)
-	e.U64(c.MaxInstr)
-	e.U64(c.MaxCycles)
 }
 
 func loadConfig(d *ckpt.Decoder) Config {
 	d.Tag("config")
 	var c Config
-	c.Mode = Mode(d.Int())
-	c.FetchWidth = d.Int()
-	c.DecodeWidth = d.Int()
-	c.IssueWidth = d.Int()
-	c.CommitWidth = d.Int()
-	c.FrontEndDepth = d.Int()
-	c.WindowSize = d.Int()
-	c.LSQSize = d.Int()
-	c.IntALUs = d.Int()
-	c.IntMulDivs = d.Int()
-	c.LatIntALU = d.Int()
-	c.LatIntMul = d.Int()
-	c.LatIntDiv = d.Int()
-	c.PhysRegs = d.Int()
-	c.GshareEntries = d.Int()
-	for _, lvl := range []*struct{ SizeBytes, LineBytes, Assoc, HitLat, MissLat *int }{
-		{&c.Hier.L1I.SizeBytes, &c.Hier.L1I.LineBytes, &c.Hier.L1I.Assoc, &c.Hier.L1I.HitLat, &c.Hier.L1I.MissLat},
-		{&c.Hier.L1D.SizeBytes, &c.Hier.L1D.LineBytes, &c.Hier.L1D.Assoc, &c.Hier.L1D.HitLat, &c.Hier.L1D.MissLat},
-		{&c.Hier.L2.SizeBytes, &c.Hier.L2.LineBytes, &c.Hier.L2.Assoc, &c.Hier.L2.HitLat, &c.Hier.L2.MissLat},
-		{&c.Hier.L3.SizeBytes, &c.Hier.L3.LineBytes, &c.Hier.L3.Assoc, &c.Hier.L3.HitLat, &c.Hier.L3.MissLat},
-	} {
-		*lvl.SizeBytes = d.Int()
-		*lvl.LineBytes = d.Int()
-		*lvl.Assoc = d.Int()
-		*lvl.HitLat = d.Int()
-		*lvl.MissLat = d.Int()
+	for _, f := range configFields(&c) {
+		loadField(d, f)
 	}
-	c.Hier.DL1Ports = d.Int()
-	c.Hier.WideBus = d.Bool()
-	c.Hier.WideLoadsPerAccess = d.Int()
-	c.Hier.MaxOutstandingMisses = d.Int()
-	c.DL1Ports = d.Int()
-	c.Replicas = d.Int()
-	c.StridedPCsPerEntry = d.Int()
-	c.StrideSets = d.Int()
-	c.StrideAssoc = d.Int()
-	c.SRSMTSets = d.Int()
-	c.SRSMTAssoc = d.Int()
-	c.MBSSets = d.Int()
-	c.MBSAssoc = d.Int()
-	c.NRBQEntries = d.Int()
-	c.SpecMemSize = d.Int()
-	c.SpecMemLat = d.Int()
-	c.ReplicaRegReserve = d.Int()
-	c.RenameRegHeadroom = d.Int()
-	c.DisableDAEC = d.Bool()
-	c.DisableMBSGate = d.Bool()
-	c.NaiveScheduler = d.Bool()
-	c.NoFastForward = d.Bool()
-	c.CommitRecomputeAll = d.Bool()
-	c.EmulateAliasedWorklist = d.Bool()
-	c.MaxInstr = d.U64()
-	c.MaxCycles = d.U64()
 	return c
+}
+
+// saveField encodes the field f points to by its type.
+func saveField(e *ckpt.Encoder, f any) {
+	switch f := f.(type) {
+	case *Mode:
+		e.Int(int(*f))
+	case *int:
+		e.Int(*f)
+	case *bool:
+		e.Bool(*f)
+	case *uint64:
+		e.U64(*f)
+	case *float64:
+		e.F64(*f)
+	default:
+		panic(fmt.Sprintf("core: no checkpoint encoding for %T", f))
+	}
+}
+
+// loadField decodes into the field f points to, as saveField wrote it.
+func loadField(d *ckpt.Decoder, f any) {
+	switch f := f.(type) {
+	case *Mode:
+		*f = Mode(d.Int())
+	case *int:
+		*f = d.Int()
+	case *bool:
+		*f = d.Bool()
+	case *uint64:
+		*f = d.U64()
+	case *float64:
+		*f = d.F64()
+	default:
+		panic(fmt.Sprintf("core: no checkpoint decoding for %T", f))
+	}
 }
 
 func saveRenEntry(e *ckpt.Encoder, r *renEntry) {
@@ -363,86 +317,35 @@ func (p *Proc) loadROBEntry(d *ckpt.Decoder, r *robEntry) {
 	r.copyReadyAt = d.U64()
 }
 
+// statsFields lists the serialized statistics in CIVK order. Cache-level
+// snapshots are not among them: Finalize/Snapshot re-derive them from
+// the hierarchy, which serializes its own stats.
+func statsFields(s *Stats) []any {
+	return []any{
+		&s.Cycles, &s.Committed, &s.CommittedReuse, &s.Fetched, &s.SquashedBP,
+		&s.ReplicasDispatched, &s.Branches, &s.CondBranches, &s.Mispredicts,
+		&s.HardMispredicts, &s.EpisodesSelected, &s.EpisodesReused, &s.Loads,
+		&s.Stores, &s.StoreConflicts, &s.CoherenceSquashes, &s.VectorizedEntries,
+		&s.ValidationFails, &s.ValFailStride, &s.ValFailVec, &s.ValFailSelf,
+		&s.ValFailScalar, &s.ValFailSlot, &s.ValFailAddr, &s.ReplayLoad,
+		&s.ReplayArith, &s.IWCaptured, &s.ValNoReplica, &s.Replays, &s.CISelected,
+		&s.StridedPCsSum, &s.StridedPCsCount, &s.RegAvgInUse, &s.RegPeak,
+		&s.SpecMemCopies,
+	}
+}
+
 func (p *Proc) saveStats(e *ckpt.Encoder) {
 	e.Tag("stats")
-	s := &p.Stats
-	e.U64(s.Cycles)
-	e.U64(s.Committed)
-	e.U64(s.CommittedReuse)
-	e.U64(s.Fetched)
-	e.U64(s.SquashedBP)
-	e.U64(s.ReplicasDispatched)
-	e.U64(s.Branches)
-	e.U64(s.CondBranches)
-	e.U64(s.Mispredicts)
-	e.U64(s.HardMispredicts)
-	e.U64(s.EpisodesSelected)
-	e.U64(s.EpisodesReused)
-	e.U64(s.Loads)
-	e.U64(s.Stores)
-	e.U64(s.StoreConflicts)
-	e.U64(s.CoherenceSquashes)
-	e.U64(s.VectorizedEntries)
-	e.U64(s.ValidationFails)
-	e.U64(s.ValFailStride)
-	e.U64(s.ValFailVec)
-	e.U64(s.ValFailSelf)
-	e.U64(s.ValFailScalar)
-	e.U64(s.ValFailSlot)
-	e.U64(s.ValFailAddr)
-	e.U64(s.ReplayLoad)
-	e.U64(s.ReplayArith)
-	e.U64(s.IWCaptured)
-	e.U64(s.ValNoReplica)
-	e.U64(s.Replays)
-	e.U64(s.CISelected)
-	e.U64(s.StridedPCsSum)
-	e.U64(s.StridedPCsCount)
-	e.F64(s.RegAvgInUse)
-	e.Int(s.RegPeak)
-	e.U64(s.SpecMemCopies)
-	// Cache-level snapshots are not saved here: Finalize/Snapshot
-	// re-derive them from the hierarchy, which serializes its own stats.
+	for _, f := range statsFields(&p.Stats) {
+		saveField(e, f)
+	}
 }
 
 func (p *Proc) loadStats(d *ckpt.Decoder) {
 	d.Tag("stats")
-	s := &p.Stats
-	s.Cycles = d.U64()
-	s.Committed = d.U64()
-	s.CommittedReuse = d.U64()
-	s.Fetched = d.U64()
-	s.SquashedBP = d.U64()
-	s.ReplicasDispatched = d.U64()
-	s.Branches = d.U64()
-	s.CondBranches = d.U64()
-	s.Mispredicts = d.U64()
-	s.HardMispredicts = d.U64()
-	s.EpisodesSelected = d.U64()
-	s.EpisodesReused = d.U64()
-	s.Loads = d.U64()
-	s.Stores = d.U64()
-	s.StoreConflicts = d.U64()
-	s.CoherenceSquashes = d.U64()
-	s.VectorizedEntries = d.U64()
-	s.ValidationFails = d.U64()
-	s.ValFailStride = d.U64()
-	s.ValFailVec = d.U64()
-	s.ValFailSelf = d.U64()
-	s.ValFailScalar = d.U64()
-	s.ValFailSlot = d.U64()
-	s.ValFailAddr = d.U64()
-	s.ReplayLoad = d.U64()
-	s.ReplayArith = d.U64()
-	s.IWCaptured = d.U64()
-	s.ValNoReplica = d.U64()
-	s.Replays = d.U64()
-	s.CISelected = d.U64()
-	s.StridedPCsSum = d.U64()
-	s.StridedPCsCount = d.U64()
-	s.RegAvgInUse = d.F64()
-	s.RegPeak = d.Int()
-	s.SpecMemCopies = d.U64()
+	for _, f := range statsFields(&p.Stats) {
+		loadField(d, f)
+	}
 }
 
 // SaveCheckpoint serializes the processor into a sealed CIVK container.
@@ -577,8 +480,10 @@ func (p *Proc) SaveCheckpoint(base *mem.Memory) []byte {
 	}
 
 	e.Tag("ciiw")
-	e.Int(p.iwLive)
-	for _, pc := range p.iwPCs[:p.iwLive] {
+	// Every PC the last capture wrote; restore recounts iwLive, the
+	// records not yet reused, from the lists and cursors.
+	e.Int(len(p.iwPCs))
+	for _, pc := range p.iwPCs {
 		e.Int(pc)
 		e.Int(p.iwHead[pc])
 		l := p.iwTable[pc]
@@ -698,7 +603,8 @@ func PeekCheckpoint(data []byte) (CheckpointInfo, error) {
 // (verified by name, length and hash); base must be the same pristine
 // initial memory image passed to SaveCheckpoint (nil if it was nil).
 // The restored processor carries no observer or tracer. Hostile input
-// is an error, never a panic.
+// is an error, never a panic, and never a machine that panics when
+// stepped: every decoded index is checked against its table.
 func RestoreCheckpoint(data []byte, prog *isa.Program, base *mem.Memory) (*Proc, error) {
 	p := new(Proc)
 	if err := p.restore(data, prog, base); err != nil {
@@ -880,8 +786,8 @@ func (p *Proc) restore(data []byte, prog *isa.Program, base *mem.Memory) error {
 		if d.Err() != nil {
 			break
 		}
-		if pc < 0 || pc >= len(p.iwTable) {
-			d.Fail("squash-reuse PC %d outside program (%d static instructions)", pc, len(p.iwTable))
+		if pc < 0 || pc >= len(p.iwTable) || head < 0 || head > nl {
+			d.Fail("squash-reuse PC %d or cursor %d outside the program or its %d records", pc, head, nl)
 			break
 		}
 		l := make([]iwReuse, nl)
@@ -896,7 +802,7 @@ func (p *Proc) restore(data []byte, prog *isa.Program, base *mem.Memory) error {
 		p.iwTable[pc] = l
 		p.iwHead[pc] = head
 		p.iwPCs = append(p.iwPCs, pc)
-		p.iwLive++
+		p.iwLive += nl - head
 	}
 	nremap := d.Count()
 	p.iwRemapFrom = make([]uint64, nremap)
@@ -996,7 +902,136 @@ func (p *Proc) restore(data []byte, prog *isa.Program, base *mem.Memory) error {
 	if d.Remaining() != 0 {
 		return fmt.Errorf("core: checkpoint payload has %d trailing bytes", d.Remaining())
 	}
-	return nil
+	return p.checkRestored()
+}
+
+// checkRestored validates every index a restore decoded against the
+// table it indexes, and the register and speculative-memory ownership
+// the pipeline frees by, so a CRC-valid checkpoint that would index out
+// of range or free a register twice on a later Step is refused here.
+func (p *Proc) checkRestored() error {
+	var err error
+	check := func(ok bool, format string, args ...any) {
+		if !ok && err == nil {
+			err = fmt.Errorf("core: restore: "+format, args...)
+		}
+	}
+	nprog, nrob, nregs := p.prog.Len(), len(p.rob), p.rf.Len()
+	inProg := func(pc int) bool { return pc >= 0 && pc < nprog }
+	isReg := func(r int) bool { return r >= 0 && r < nregs }
+	check(p.cfg.PhysRegs == max(p.rf.Size(), 0), "register file of %d, configured %d", p.rf.Size(), p.cfg.PhysRegs)
+	check((p.sm != nil) == (p.cfg.Mode.Vectorizes() && p.cfg.SpecMemSize > 0) &&
+		(p.sm == nil || p.sm.Size() == p.cfg.SpecMemSize), "spec memory does not match the configuration")
+	check(p.robHead >= 0 && p.robHead < nrob && p.robCount >= 0 && p.robCount <= nrob &&
+		p.robTail == (p.robHead+p.robCount)%nrob, "ROB head %d, tail %d, count %d in %d entries", p.robHead, p.robTail, p.robCount, nrob)
+	check(inProg(p.fetchPC), "fetch PC %d outside the program", p.fetchPC)
+	for _, f := range p.fetchQ {
+		check(inProg(f.pc), "fetched PC %d outside the program", f.pc)
+	}
+	if err != nil {
+		return err
+	}
+
+	ren := func(r *renEntry) {
+		check(r.writerPC == -1 || inProg(int(r.writerPC)), "rename writer PC %d outside the program", r.writerPC)
+		check(isReg(int(r.phys)) && (r.nStrided == 0 || r.nStrided <= maxStridedPCs && r.strideRef >= 0 &&
+			int(r.strideRef) < len(p.stridePC.lists)), "rename entry out of range")
+	}
+	for i := range p.ren {
+		ren(&p.ren[i])
+	}
+	for _, i := range p.stridePC.free {
+		check(i >= 0 && int(i) < len(p.stridePC.lists), "free stridedPC list %d out of range", i)
+	}
+	var seq uint64
+	for c := range p.robCount {
+		i := (p.robHead + c) % nrob
+		e := &p.rob[i]
+		check(e.valid && inProg(int(e.pc)) && inProg(int(e.actTarget)) && e.seq > seq && e.seq <= p.seq,
+			"ROB entry %d: invalid, out of order, or PC %d or target %d outside the program", i, e.pc, e.actTarget)
+		if err != nil {
+			return err
+		}
+		seq = e.seq
+		im := p.metaAt(int(e.pc))
+		check(e.in == p.prog.At(int(e.pc)) && e.hasDest == im.HasDest() && e.logDest == im.Dest() &&
+			int(e.nsrc) == len(im.Srcs()) && e.state <= stValidPend && (e.hasDest && isReg(int(e.physDest)) ||
+			!e.hasDest && e.physDest == -1 && !e.validated && !e.reuseIW) &&
+			isReg(int(e.srcPhys[0])) && isReg(int(e.srcPhys[1])), "ROB entry %d does not describe the instruction at PC %d", i, e.pc)
+		ren(&e.oldRen)
+	}
+	for i := range p.rob {
+		check(p.rob[i].valid == ((i-p.robHead+nrob)%nrob < p.robCount), "ROB entry %d valid outside the window", i)
+	}
+	if err != nil {
+		return err
+	}
+
+	// Unwinding the window from its tail, as a squash does, each
+	// writer's destination must be its register's current mapping and
+	// its checkpoint the mapping before it. What is left is the
+	// committed map. held then counts what will free each physical
+	// register and spec memory position — the committed map, the
+	// in-flight destinations and the replica slots holding results —
+	// and each may be held at most once, and only while allocated, so
+	// nothing is freed twice. (Allocated but unheld is possible: replica
+	// storage the commit cursor passed while it executed stays
+	// allocated after its entry dies.)
+	held, smHeld := make([]int, nregs), make([]int, p.cfg.SpecMemSize)
+	hold := func(h []int, r int) {
+		check(r >= 0 && r < len(h), "register or spec memory position %d out of range", r)
+		if err == nil {
+			h[r]++
+		}
+	}
+	mapped := p.ren
+	for c := p.robCount - 1; c >= 0; c-- {
+		if e := &p.rob[(p.robHead+c)%nrob]; e.hasDest {
+			check(mapped[e.logDest].phys == e.physDest, "ROB destination %d is not mapped", e.physDest)
+			hold(held, int(e.physDest))
+			mapped[e.logDest] = e.oldRen
+		}
+	}
+	for _, r := range mapped {
+		hold(held, int(r.phys))
+	}
+	if p.srsmt != nil {
+		replicaHeld := held
+		if p.sm != nil {
+			replicaHeld = smHeld
+		}
+		p.srsmt.ForEachValid(func(ent *ci.Entry) bool {
+			check(ent.SeedPhys == -1 || isReg(ent.SeedPhys), "SRSMT seed register %d out of range", ent.SeedPhys)
+			for _, r := range ent.Replicas {
+				if r.Abs >= 0 && r.Dest >= 0 {
+					hold(replicaHeld, r.Dest)
+				}
+			}
+			return err == nil
+		})
+	}
+	for r, n := range held {
+		check(n == 0 || n == 1 && p.rf.Allocated(r), "physical register %d held %d times, allocated=%t", r, n, p.rf.Allocated(r))
+	}
+	for pos, n := range smHeld {
+		check(n == 0 || n == 1 && p.sm.Allocated(pos), "spec memory position %d held %d times", pos, n)
+	}
+
+	isROB := func(idx int) bool { return idx >= 0 && idx < nrob }
+	for _, idx := range p.lsq {
+		check(isROB(idx), "LSQ ROB index %d out of range", idx)
+	}
+	for _, l := range p.wordStores {
+		for _, idx := range l {
+			check(isROB(int(idx)), "word-store ROB index %d out of range", idx)
+		}
+	}
+	for _, l := range append([][]waitRef{p.waitQ, p.execQ, p.validPend, p.readyQ}, p.regWaiters...) {
+		for _, w := range l {
+			check(isROB(w.idx), "scheduler ROB index %d out of range", w.idx)
+		}
+	}
+	return err
 }
 
 // fitsPayload rejects a checkpointed configuration whose machine the

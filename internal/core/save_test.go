@@ -111,6 +111,11 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 		{"gcc-ci-naive", "gcc", ModeCI, "naive", 15_000, []uint64{500, 7_000}, nil},
 		{"mcf-scal-ff", "mcf", ModeScalar, "fastforward", 15_000, []uint64{4_000}, nil},
 		{"mcf-ciiw-ff", "mcf", ModeCIIW, "fastforward", 15_000, []uint64{4_000}, nil},
+		// Splits where the squash-reuse table holds more records than
+		// PCs, or some are already reused: a save once sliced its PC
+		// list by the live-record count and panicked or lost records.
+		{"gzip-ciiw-ff", "gzip", ModeCIIW, "fastforward", 22_000, []uint64{4_917, 12_751, 20_585}, nil},
+		{"gcc-ciiw-event", "gcc", ModeCIIW, "event", 42_000, []uint64{40_170}, nil},
 		{"parser-vect-event", "parser", ModeVect, "event", 15_000, []uint64{4_000}, nil},
 		{"twolf-wb-ff", "twolf", ModeWideBus, "fastforward", 15_000, []uint64{4_000}, nil},
 		{"gcc-ci-specmem", "gcc", ModeCI, "fastforward", 12_000, []uint64{3_000},

@@ -1,9 +1,8 @@
 // Package nodeterm implements the civet nodeterm analyzer: it bans
 // sources of run-to-run nondeterminism inside the packages whose
 // outputs must be byte-identical across runs, shards and machines
-// (internal/core, internal/ci, internal/sweep, internal/benchfmt,
-// internal/sample, internal/ckpt by default; configurable with
-// -nodeterm.pkgs).
+// (internal/core, internal/ci, internal/sweep, internal/sample,
+// internal/ckpt by default; configurable with -nodeterm.pkgs).
 //
 // Flagged constructs:
 //
@@ -25,12 +24,12 @@
 //
 // The -nodeterm.pkgs flag draws the determinism boundary. The default
 // set is the simulator's reproducible core — internal/core,
-// internal/ci, internal/sweep, internal/benchfmt, plus the sampled-
-// simulation pipeline internal/sample (whose BBV projection and
-// k-means clustering must pick identical simulation points on every
-// machine) and the checkpoint container internal/ckpt (whose bytes are
-// CRC-sealed and diffed across runs) — whose outputs must be
-// byte-identical across runs, shards and machines. The service
+// internal/ci, internal/sweep, plus the sampled-simulation pipeline
+// internal/sample (whose BBV projection and k-means clustering must
+// pick identical simulation points on every machine) and the
+// checkpoint container internal/ckpt (whose bytes are CRC-sealed and
+// diffed across runs) — whose outputs must be byte-identical across
+// runs, shards and machines. The service
 // layer (civect/internal/serve and the ciserve daemon over it) is
 // deliberately NOT in the set: uptime clocks, drain deadlines and
 // selects racing client connections against timers are what a daemon
@@ -56,7 +55,7 @@ import (
 
 // DefaultPackages is the comma-separated package-path-prefix list the
 // -nodeterm.pkgs flag defaults to: the simulator's deterministic core.
-const DefaultPackages = "civect/internal/core,civect/internal/ci,civect/internal/sweep,civect/internal/benchfmt,civect/internal/sample,civect/internal/ckpt"
+const DefaultPackages = "civect/internal/core,civect/internal/ci,civect/internal/sweep,civect/internal/sample,civect/internal/ckpt"
 
 // Analyzer is the nodeterm analysis.
 var Analyzer = &analysis.Analyzer{

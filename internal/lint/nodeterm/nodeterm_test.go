@@ -28,7 +28,7 @@ func TestNodeterm(t *testing.T) {
 // container (internal/ckpt). The service layer (civect/internal/serve)
 // is deliberately absent — daemons live on the wall clock.
 func TestDefaultPackages(t *testing.T) {
-	want := "civect/internal/core,civect/internal/ci,civect/internal/sweep,civect/internal/benchfmt,civect/internal/sample,civect/internal/ckpt"
+	want := "civect/internal/core,civect/internal/ci,civect/internal/sweep,civect/internal/sample,civect/internal/ckpt"
 	if nodeterm.DefaultPackages != want {
 		t.Fatalf("DefaultPackages = %q, want %q", nodeterm.DefaultPackages, want)
 	}

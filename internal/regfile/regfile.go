@@ -75,6 +75,10 @@ func (f *File) Size() int {
 	return len(f.regs)
 }
 
+// Len returns the number of registers the file holds now: the capacity
+// of a bounded file, the grown length of an unbounded one.
+func (f *File) Len() int { return len(f.regs) }
+
 // FreeCount returns how many registers are currently allocatable; it is
 // unbounded files' current slack plus growth, so it returns a large
 // number for them.
@@ -226,6 +230,9 @@ func (s *SpecMem) Latency() int { return s.latency }
 
 // FreeCount returns the number of unallocated positions.
 func (s *SpecMem) FreeCount() int { return len(s.free) }
+
+// Allocated reports whether position pos is in use.
+func (s *SpecMem) Allocated(pos int) bool { return s.alloced[pos] }
 
 // InUse returns the number of allocated positions.
 func (s *SpecMem) InUse() int { return s.inUse }

@@ -42,12 +42,14 @@ func LoadFile(d *ckpt.Decoder) *File {
 	}
 	nfree := d.Count()
 	f.free = make([]int, nfree)
+	onList := make([]bool, nregs)
 	for i := range f.free {
-		f.free[i] = d.Int()
-		if f.free[i] < 0 || f.free[i] >= nregs {
-			d.Fail("free-list register %d out of range (file size %d)", f.free[i], nregs)
+		r := d.Int()
+		if r < 0 || r >= nregs || onList[r] || f.regs[r].alloced {
+			d.Fail("free-list register %d out of range, repeated or allocated (file size %d)", r, nregs)
 			return f
 		}
+		f.free[i], onList[r] = r, true
 	}
 	f.inUse = d.Int()
 	f.peak = d.Int()
@@ -97,12 +99,14 @@ func LoadSpecMem(d *ckpt.Decoder) *SpecMem {
 	}
 	nfree := d.Count()
 	s.free = s.free[:0]
+	onList := make([]bool, size)
 	for i := 0; i < nfree; i++ {
 		p := d.Int()
-		if p < 0 || p >= size {
-			d.Fail("spec memory free-list position %d out of range (size %d)", p, size)
+		if p < 0 || p >= size || onList[p] || s.alloced[p] {
+			d.Fail("spec memory free-list position %d out of range, repeated or allocated (size %d)", p, size)
 			return s
 		}
+		onList[p] = true
 		s.free = append(s.free, p)
 	}
 	s.inUse = d.Int()

@@ -306,6 +306,9 @@ func measure(proc *core.Proc, s PlanSample, warmupInstr uint64) (SampleResult, u
 	for !proc.Halted() && proc.Stats.Committed < warmupInstr+s.Len {
 		proc.Step()
 	}
+	if err := proc.Err(); err != nil {
+		panic(err) // machines built from live or captured state: a simulator bug
+	}
 	end := proc.Snapshot()
 
 	instr, cycles, metrics := metricsOf(&warm, &end)

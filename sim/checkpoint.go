@@ -158,6 +158,11 @@ func (s *Session) runCheckpointed(ctx context.Context) (*Result, error) {
 		}
 	}
 	s.wall += time.Since(t0)
+	if err := s.proc.Err(); err != nil {
+		s.sealed = fmt.Errorf("%w: %v", ErrSessionEnded, err)
+		s.closeTrace()
+		return nil, err
+	}
 	s.finished = true
 	s.sealed = fmt.Errorf("%w: run complete", ErrSessionEnded)
 	stats := *s.proc.Finalize()

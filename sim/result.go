@@ -1,19 +1,27 @@
 package sim
 
-import "civect/internal/benchfmt"
+// resultSchema versions Result's JSON layout; bump it on a breaking
+// change. Version 2 dropped the always-zero bytes_per_op and
+// allocs_per_op fields.
+const resultSchema = 2
 
-// Result is the outcome of one simulation session. It embeds the
-// versioned benchfmt row — the same schema cibench writes to
-// BENCH_core.json and cigate gates on — so every tool in the stack
-// emits one JSON format, and adds the full statistics block.
+// Result is the outcome of one simulation session: a summary row
+// followed by the full statistics block, in the one versioned JSON
+// format that cisim -json, cickpt and ciserve emit.
 type Result struct {
-	// Result is the embedded benchfmt row: mode, workload, committed
-	// instructions, wall time, throughput and the deterministic
-	// headline stats (IPC, reuse fraction). BytesPerOp/AllocsPerOp are
-	// zero here; only benchmark harnesses that measure allocation
-	// (cibench) fill them.
-	benchfmt.Result
-	// Schema versions this JSON layout (BenchSchemaVersion).
+	// The summary row: machine mode and workload; committed
+	// instructions (for a sampled run, the stream the estimates
+	// extrapolate to); the session's wall time and throughput, which
+	// are host measurements, not simulated state; and the
+	// deterministic headline statistics.
+	Mode            string  `json:"mode"`
+	Bench           string  `json:"bench"`
+	Instr           uint64  `json:"sim_instrs_per_run"`
+	NsPerOp         int64   `json:"ns_per_op"`
+	SimInstrsPerSec float64 `json:"sim_instrs_per_sec"`
+	IPC             float64 `json:"ipc"`
+	ReuseFraction   float64 `json:"reuse_fraction"`
+	// Schema versions this JSON layout (2).
 	Schema int `json:"schema"`
 	// Partial marks a run cut short — by context cancellation or an
 	// expired deadline — before its budget or halt; the statistics are
@@ -23,8 +31,8 @@ type Result struct {
 	Stats Stats `json:"stats"`
 	// Sampled carries the stitched estimates of a sampled run
 	// (WithSampling); nil for detailed runs. When set, Stats is zero —
-	// a sampled run has no single detailed statistics block — and the
-	// embedded row's IPC/ReuseFraction are the stitched means.
+	// a sampled run has no single detailed statistics block — and
+	// IPC/ReuseFraction are the stitched means.
 	Sampled *SampledRun `json:"sampled,omitempty"`
 }
 
@@ -33,17 +41,15 @@ type Result struct {
 func (s *Session) makeResult(stats *Stats, partial bool) *Result {
 	ns := s.wall.Nanoseconds()
 	r := &Result{
-		Result: benchfmt.Result{
-			Mode:          s.cfg.Mode.String(),
-			Bench:         s.w.Name(),
-			Instr:         stats.Committed,
-			NsPerOp:       ns,
-			IPC:           stats.IPC(),
-			ReuseFraction: stats.ReuseFraction(),
-		},
-		Schema:  BenchSchemaVersion,
-		Partial: partial,
-		Stats:   *stats,
+		Mode:          s.cfg.Mode.String(),
+		Bench:         s.w.Name(),
+		Instr:         stats.Committed,
+		NsPerOp:       ns,
+		IPC:           stats.IPC(),
+		ReuseFraction: stats.ReuseFraction(),
+		Schema:        resultSchema,
+		Partial:       partial,
+		Stats:         *stats,
 	}
 	if ns > 0 {
 		r.SimInstrsPerSec = float64(stats.Committed) / (float64(ns) * 1e-9)

@@ -55,6 +55,27 @@ func TestSampledSession(t *testing.T) {
 	}
 }
 
+// TestSampledGolden pins the stitched estimates of the default sampled
+// pipeline on gcc.big over a 200k-instruction stream, where the phase
+// structure the clustering targets is present. Profiling, clustering,
+// warming and stitching are deterministic, so any drift is a change in
+// what sampling measures.
+func TestSampledGolden(t *testing.T) {
+	s, err := sim.New(mustLoad(t, "gcc.big"), sim.WithMode(sim.CI), sim.WithInstrBudget(200_000),
+		sim.WithSampling(sim.SamplingConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Instr != 200_000 || res.IPC != 1.19573688469593 || res.ReuseFraction != 0 {
+		t.Errorf("sampled gcc.big: instr %d, IPC %v, reuse %v; want 200000, 1.19573688469593, 0",
+			res.Instr, res.IPC, res.ReuseFraction)
+	}
+}
+
 // TestSamplingOptionConflicts checks New's eager validation of the
 // sampled mode's incompatibilities.
 func TestSamplingOptionConflicts(t *testing.T) {

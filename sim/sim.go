@@ -342,7 +342,8 @@ func (s *Session) Run(ctx context.Context) (_ *Result, err error) {
 // Step advances the simulation by up to n cycles (the fast-forward
 // engine may make an individual cycle land after a jump) and reports
 // how many it simulated. It stops early — and seals the session — when
-// the program halts or the committed-instruction budget is reached;
+// the program halts, the committed-instruction budget is reached, or
+// the machine faults on forged checkpoint state (returning the fault);
 // driving a sealed session returns an error wrapping ErrSessionEnded,
 // so a driver loop cannot silently resume a session a deadline already
 // ended.
@@ -363,6 +364,11 @@ func (s *Session) Step(n int) (int, error) {
 		s.proc.Step()
 	}
 	s.wall += time.Since(t0)
+	if err := s.proc.Err(); err != nil {
+		s.sealed = fmt.Errorf("%w: %v", ErrSessionEnded, err)
+		s.closeTrace()
+		return stepped, err
+	}
 	if s.proc.Halted() || (budget > 0 && s.proc.Stats.Committed >= budget) {
 		s.finished = true
 		s.sealed = fmt.Errorf("%w: run complete", ErrSessionEnded)

@@ -1,8 +1,11 @@
 package sim_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"slices"
 	"testing"
 
 	"civect/internal/core"
@@ -131,11 +134,73 @@ func TestSessionMatchesCore(t *testing.T) {
 	if res.Partial {
 		t.Error("completed run marked partial")
 	}
-	if res.Schema != sim.BenchSchemaVersion {
-		t.Errorf("schema %d, want %d", res.Schema, sim.BenchSchemaVersion)
+	if res.Schema != 2 {
+		t.Errorf("schema %d, want 2", res.Schema)
 	}
 	if res.IPC != want.IPC() || res.ReuseFraction != want.ReuseFraction() {
-		t.Error("embedded bench row disagrees with stats block")
+		t.Error("summary row disagrees with stats block")
+	}
+	blob, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantKeys := []string{"mode", "bench", "sim_instrs_per_run", "ns_per_op", "sim_instrs_per_sec",
+		"ipc", "reuse_fraction", "schema", "stats"}
+	if keys := topLevelKeys(t, blob); !slices.Equal(keys, wantKeys) {
+		t.Errorf("Result JSON keys\n got %q\nwant %q", keys, wantKeys)
+	}
+}
+
+// topLevelKeys lists a JSON object's keys in document order.
+func topLevelKeys(t *testing.T, blob []byte) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	if _, err := dec.Token(); err != nil { // {
+		t.Fatal(err)
+	}
+	var keys []string
+	for dec.More() {
+		k, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
+}
+
+// TestIssueSliceGolden pins a steady-state slice of the ci machine:
+// 50k cycles of a long gcc run after 20k cycles of warm-up, past the
+// table-churn phase. It exercises the scheduler hot loop that
+// BenchmarkIssueStage times, so the loop's semantics are pinned too.
+func TestIssueSliceGolden(t *testing.T) {
+	w, err := sim.LoadWithIters("gcc", 50_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sim.New(w, sim.WithMode(sim.CI))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Step(20_000); err != nil {
+		t.Fatal(err)
+	}
+	st0 := s.Stats()
+	if _, err := s.Step(50_000); err != nil {
+		t.Fatal(err)
+	}
+	st1 := s.Stats()
+	committed := st1.Committed - st0.Committed
+	reused := st1.CommittedReuse - st0.CommittedReuse
+	ipc := float64(committed) / 50_000
+	reuse := float64(reused) / float64(committed)
+	if committed != 163847 || ipc != 3.27694 || reuse != 0.26444182682624645 {
+		t.Errorf("issue slice: committed %d, IPC %v, reuse %v; want 163847, 3.27694, 0.26444182682624645",
+			committed, ipc, reuse)
 	}
 }
 
