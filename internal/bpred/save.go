@@ -11,71 +11,33 @@ import (
 // restored run's prediction stream, and so its misprediction recoveries
 // and CI episodes, must match the uninterrupted run bit-for-bit.
 
-// SaveState encodes the gshare predictor.
-func (g *Gshare) SaveState(e *ckpt.Encoder) {
-	e.Tag("gshare")
-	e.Int(len(g.table))
-	for _, c := range g.table {
-		e.U8(c)
-	}
-	e.U64(g.history)
-}
-
-// LoadState restores state saved from a predictor with the same entry
-// count.
-func (g *Gshare) LoadState(d *ckpt.Decoder) {
-	d.Tag("gshare")
-	n := d.Int()
-	if d.Err() != nil {
+// Walk saves or loads the gshare predictor; a load needs the same
+// entry count.
+func (g *Gshare) Walk(c *ckpt.Codec) {
+	c.Tag("gshare")
+	if !c.Size(len(g.table), "gshare size") {
 		return
 	}
-	if n != len(g.table) {
-		d.Fail("gshare size mismatch: checkpoint has %d entries, predictor has %d", n, len(g.table))
-		return
-	}
-	if b := d.Raw(n); b != nil {
-		copy(g.table, b)
-	}
-	g.history = d.U64()
+	c.Bytes(g.table)
+	c.U64(&g.history)
 }
 
-// SaveState encodes the MBS table.
-func (m *MBS) SaveState(e *ckpt.Encoder) {
-	e.Tag("mbs")
-	e.Int(len(m.ways))
-	for i := range m.ways {
-		w := &m.ways[i]
-		e.U64(w.pc)
-		e.Bool(w.valid)
-		e.U8(w.counter)
-		e.Bool(w.prev)
-		e.Bool(w.seen)
-		e.U64(w.lru)
-	}
-	e.U64(m.clock)
-}
-
-// LoadState restores state saved from a table with the same geometry.
-func (m *MBS) LoadState(d *ckpt.Decoder) {
-	d.Tag("mbs")
-	n := d.Int()
-	if d.Err() != nil {
-		return
-	}
-	if n != len(m.ways) {
-		d.Fail("MBS geometry mismatch: checkpoint has %d ways, table has %d", n, len(m.ways))
+// Walk saves or loads the MBS table; a load needs the same geometry.
+func (m *MBS) Walk(c *ckpt.Codec) {
+	c.Tag("mbs")
+	if !c.Size(len(m.ways), "MBS ways") {
 		return
 	}
 	for i := range m.ways {
 		w := &m.ways[i]
-		w.pc = d.U64()
-		w.valid = d.Bool()
-		w.counter = d.U8()
-		w.prev = d.Bool()
-		w.seen = d.Bool()
-		w.lru = d.U64()
+		c.U64(&w.pc)
+		c.Bool(&w.valid)
+		c.U8(&w.counter)
+		c.Bool(&w.prev)
+		c.Bool(&w.seen)
+		c.U64(&w.lru)
 	}
-	m.clock = d.U64()
+	c.U64(&m.clock)
 }
 
 // CopyFrom overwrites g's state with src's — the warm-state transplant,

@@ -5,294 +5,172 @@ import (
 	"civect/internal/isa"
 )
 
-// Checkpoint serialization for the CI structures. The SRSMT is the one
-// table in the machine whose state is pointer-shaped — operand
-// references cache producer ways, consumer chains hold entry pointers —
-// so everything pointer-valued is encoded as (way index, generation)
-// and re-linked against the restored table's fixed way storage on load.
-// Dead references (a consumer chained to a since-recycled way) are
-// preserved verbatim: they influence chain-compaction thresholds and
-// wake iteration, so dropping them would perturb a restored run.
+// Checkpoint serialization for the CI structures, one walk per
+// structure for both directions. The SRSMT is the one table in the
+// machine whose state is pointer-shaped — operand references cache
+// producer ways, consumer chains hold entry pointers — so everything
+// pointer-valued is encoded as its way index and re-linked against the
+// restored table's fixed way storage on load. Dead references (a
+// consumer chained to a since-recycled way) are preserved verbatim:
+// they influence chain-compaction thresholds and wake iteration, so
+// dropping them would perturb a restored run.
 
-// NumWays returns the table's way count (sets × associativity).
-func (t *SRSMT) NumWays() int { return len(t.ways) }
-
-// WayOf returns an entry's fixed index in the table's way storage.
-func (t *SRSMT) WayOf(e *Entry) int { return int(e.way) }
-
-// Way returns the entry occupying way i (valid or not; way storage is
-// fixed for the table's lifetime).
-func (t *SRSMT) Way(i int) *Entry { return &t.ways[i] }
-
-func encodeInstr(e *ckpt.Encoder, in isa.Instr) {
-	e.U8(uint8(in.Op))
-	e.U8(uint8(in.Rd))
-	e.U8(uint8(in.Ra))
-	e.U8(uint8(in.Rb))
-	e.I64(in.Imm)
-	e.Int(in.Target)
+// WalkInstr saves or loads an instruction.
+func WalkInstr(c *ckpt.Codec, in *isa.Instr) {
+	c.U8((*uint8)(&in.Op))
+	c.U8((*uint8)(&in.Rd))
+	c.U8((*uint8)(&in.Ra))
+	c.U8((*uint8)(&in.Rb))
+	c.I64(&in.Imm)
+	c.Int(&in.Target)
 }
 
-func decodeInstr(d *ckpt.Decoder) isa.Instr {
-	return isa.Instr{
-		Op:     isa.Op(d.U8()),
-		Rd:     isa.Reg(d.U8()),
-		Ra:     isa.Reg(d.U8()),
-		Rb:     isa.Reg(d.U8()),
-		Imm:    d.I64(),
-		Target: d.Int(),
+// WalkRef saves or loads an entry pointer as its way index, -1 for nil.
+// A load re-links the index against t's ways and fails, naming what,
+// when it is out of range; t may be nil, a table with no ways.
+func (t *SRSMT) WalkRef(c *ckpt.Codec, e **Entry, what string) {
+	w := -1
+	if *e != nil {
+		w = int((*e).way)
+	}
+	c.Int(&w)
+	if !c.Decoding() {
+		return
+	}
+	*e = nil
+	n := 0
+	if t != nil {
+		n = len(t.ways)
+	}
+	if w >= n {
+		c.Fail("%s way %d out of range (%d ways)", what, w, n)
+	} else if w >= 0 {
+		*e = &t.ways[w]
 	}
 }
 
-// encodeOperand writes one seq1/seq2 slot; the cached producer pointer
-// becomes its way index (-1 for none).
-func (t *SRSMT) encodeOperand(e *ckpt.Encoder, o *OperandRef) {
-	e.U8(uint8(o.Kind))
-	e.U64(o.Value)
-	e.U64(o.PC)
-	e.U64(o.Gen)
-	if o.Prod != nil {
-		e.Int(int(o.Prod.way))
-	} else {
-		e.Int(-1)
+// Walk saves or loads the whole table. A load needs identical geometry
+// and a freshly reset table (all ways invalid). The validity bitmap is
+// rebuilt from the entries; only valid entries are stored, in way
+// order.
+func (t *SRSMT) Walk(c *ckpt.Codec) {
+	c.Tag("srsmt")
+	if !c.Size(t.sets, "SRSMT sets") || !c.Size(t.assoc, "SRSMT associativity") {
+		return
 	}
-	e.Int(o.Base)
-}
-
-func (t *SRSMT) decodeOperand(d *ckpt.Decoder, o *OperandRef) {
-	o.Kind = OperandKind(d.U8())
-	o.Value = d.U64()
-	o.PC = d.U64()
-	o.Gen = d.U64()
-	w := d.Int()
-	if w >= 0 {
-		if w >= len(t.ways) {
-			d.Fail("operand producer way %d out of range (%d ways)", w, len(t.ways))
-			return
-		}
-		o.Prod = &t.ways[w]
-	} else {
-		o.Prod = nil
-	}
-	o.Base = d.Int()
-}
-
-// SaveState encodes the whole table.
-func (t *SRSMT) SaveState(e *ckpt.Encoder) {
-	e.Tag("srsmt")
-	e.Int(t.sets)
-	e.Int(t.assoc)
-	e.U64(t.clock)
-	e.U64(t.gen)
-	e.Int(len(t.present))
-	for _, w := range t.present {
-		e.U64(w)
-	}
-	// The validity bitmap is rebuilt from the entries on load; only the
-	// entries themselves are stored. Ways are emitted in index order.
+	c.U64(&t.clock)
+	c.U64(&t.gen)
+	ckpt.Slice(c, &t.present, c.U64)
 	nvalid := 0
 	for i := range t.ways {
 		if t.headers[i].Valid {
 			nvalid++
 		}
 	}
-	e.Int(nvalid)
-	for i := range t.ways {
-		if !t.headers[i].Valid {
-			continue
-		}
-		e.Int(i)
-		t.saveEntry(e, &t.ways[i])
-	}
-}
-
-func (t *SRSMT) saveEntry(e *ckpt.Encoder, ent *Entry) {
-	h := ent.TurnHeader
-	e.Bool(h.SeedCaptured)
-	e.Bool(h.SeedBroken)
-	e.Bool(h.Listed)
-	e.U8(h.Idle)
-	e.U8(h.NSrc)
-	e.U64(h.Gen)
-	e.U64(h.ActiveMask)
-	e.U64(h.BlockedMask)
-	e.U64(h.IssuedMask)
-	e.U64(h.NextDone)
-	e.Int(h.Issue)
-	e.Int(h.Pending)
-	e.Int(h.NRegs)
-	e.Int(h.Decode)
-	e.Int(h.Commit)
-	e.Int(h.Alloc)
-	e.Int(h.SeedPhys)
-	e.U64(h.Stamp)
-
-	e.Bool(ent.IsLoad)
-	e.Int(len(ent.Replicas))
-	for i := range ent.Replicas {
-		r := &ent.Replicas[i]
-		e.U8(uint8(r.State))
-		e.Int(r.Abs)
-		e.Int(r.Dest)
-		e.U64(r.Value)
-		e.U64(r.Addr)
-		e.U64(r.DoneAt)
-	}
-	e.Int(len(ent.Consumers))
-	for _, c := range ent.Consumers {
-		e.Int(int(c.Ent.way))
-		e.U64(c.Gen)
-	}
-	e.U64(ent.PC)
-	encodeInstr(e, ent.Instr)
-	e.I64(ent.Stride)
-	e.U64(ent.BatchBase)
-	t.encodeOperand(e, &ent.Src1)
-	t.encodeOperand(e, &ent.Src2)
-	e.U64(ent.CreatorSeq)
-	e.Int(ent.DAEC)
-	e.Bool(ent.HasRange)
-	e.U64(ent.RangeLo)
-	e.U64(ent.RangeHi)
-	e.U64(ent.Episode)
-	e.U64(ent.lru)
-}
-
-// LoadState restores state saved from a table with identical geometry.
-// The receiver must be freshly constructed (all ways invalid).
-func (t *SRSMT) LoadState(d *ckpt.Decoder) {
-	d.Tag("srsmt")
-	sets, assoc := d.Int(), d.Int()
-	if d.Err() != nil {
-		return
-	}
-	if sets != t.sets || assoc != t.assoc {
-		d.Fail("SRSMT geometry mismatch: checkpoint %dx%d, table %dx%d", sets, assoc, t.sets, t.assoc)
-		return
-	}
-	t.clock = d.U64()
-	t.gen = d.U64()
-	npresent := d.Count()
-	t.present = make([]uint64, npresent)
-	for i := range t.present {
-		t.present[i] = d.U64()
-	}
-	nvalid := d.Count()
+	c.Count(&nvalid)
+	w := -1
 	for k := 0; k < nvalid; k++ {
-		w := d.Int()
-		if d.Err() != nil {
+		if !c.Decoding() {
+			for w++; !t.headers[w].Valid; w++ {
+			}
+		}
+		c.Int(&w)
+		if c.Err() != nil {
 			return
 		}
 		if w < 0 || w >= len(t.ways) {
-			d.Fail("SRSMT way %d out of range (%d ways)", w, len(t.ways))
+			c.Fail("SRSMT way %d out of range (%d ways)", w, len(t.ways))
 			return
 		}
-		t.loadEntry(d, &t.ways[w])
-		t.valid[w>>6] |= 1 << (uint(w) & 63)
+		if c.Decoding() {
+			t.headers[w].Valid = true
+			t.valid[w>>6] |= 1 << (uint(w) & 63)
+		}
+		t.walkEntry(c, &t.ways[w])
 	}
 }
 
-func (t *SRSMT) loadEntry(d *ckpt.Decoder, ent *Entry) {
+func (t *SRSMT) walkEntry(c *ckpt.Codec, ent *Entry) {
 	h := ent.TurnHeader
-	h.Valid = true
-	h.SeedCaptured = d.Bool()
-	h.SeedBroken = d.Bool()
-	h.Listed = d.Bool()
-	h.Idle = d.U8()
-	h.NSrc = d.U8()
-	h.Gen = d.U64()
-	h.ActiveMask = d.U64()
-	h.BlockedMask = d.U64()
-	h.IssuedMask = d.U64()
-	h.NextDone = d.U64()
-	h.Issue = d.Int()
-	h.Pending = d.Int()
-	h.NRegs = d.Int()
-	h.Decode = d.Int()
-	h.Commit = d.Int()
-	h.Alloc = d.Int()
-	h.SeedPhys = d.Int()
-	h.Stamp = d.U64()
+	c.Bool(&h.SeedCaptured)
+	c.Bool(&h.SeedBroken)
+	c.Bool(&h.Listed)
+	c.U8(&h.Idle)
+	c.U8(&h.NSrc)
+	c.U64(&h.Gen)
+	c.U64(&h.ActiveMask)
+	c.U64(&h.BlockedMask)
+	c.U64(&h.IssuedMask)
+	c.U64(&h.NextDone)
+	c.Int(&h.Issue)
+	c.Int(&h.Pending)
+	c.Int(&h.NRegs)
+	c.Int(&h.Decode)
+	c.Int(&h.Commit)
+	c.Int(&h.Alloc)
+	c.Int(&h.SeedPhys)
+	c.U64(&h.Stamp)
 
-	ent.IsLoad = d.Bool()
-	nrep := d.Count()
-	ent.Replicas = make([]Replica, nrep)
-	for i := range ent.Replicas {
-		r := &ent.Replicas[i]
-		r.State = ReplicaState(d.U8())
-		r.Abs = d.Int()
-		r.Dest = d.Int()
-		r.Value = d.U64()
-		r.Addr = d.U64()
-		r.DoneAt = d.U64()
-	}
-	ncons := d.Count()
-	ent.Consumers = make([]ConsumerRef, 0, ncons)
-	for i := 0; i < ncons; i++ {
-		w := d.Int()
-		gen := d.U64()
-		if d.Err() != nil {
-			return
+	c.Bool(&ent.IsLoad)
+	ckpt.Slice(c, &ent.Replicas, func(r *Replica) {
+		c.U8((*uint8)(&r.State))
+		c.Int(&r.Abs)
+		c.Int(&r.Dest)
+		c.U64(&r.Value)
+		c.U64(&r.Addr)
+		c.U64(&r.DoneAt)
+	})
+	ckpt.Slice(c, &ent.Consumers, func(r *ConsumerRef) {
+		t.WalkRef(c, &r.Ent, "consumer")
+		if c.Err() == nil && r.Ent == nil {
+			c.Fail("consumer chained to no entry")
 		}
-		if w < 0 || w >= len(t.ways) {
-			d.Fail("consumer way %d out of range (%d ways)", w, len(t.ways))
-			return
-		}
-		ent.Consumers = append(ent.Consumers, ConsumerRef{Ent: &t.ways[w], Gen: gen})
-	}
-	ent.PC = d.U64()
-	ent.Instr = decodeInstr(d)
-	ent.Stride = d.I64()
-	ent.BatchBase = d.U64()
-	t.decodeOperand(d, &ent.Src1)
-	t.decodeOperand(d, &ent.Src2)
-	ent.CreatorSeq = d.U64()
-	ent.DAEC = d.Int()
-	ent.HasRange = d.Bool()
-	ent.RangeLo = d.U64()
-	ent.RangeHi = d.U64()
-	ent.Episode = d.U64()
-	ent.lru = d.U64()
+		c.U64(&r.Gen)
+	})
+	c.U64(&ent.PC)
+	WalkInstr(c, &ent.Instr)
+	c.I64(&ent.Stride)
+	c.U64(&ent.BatchBase)
+	t.walkOperand(c, &ent.Src1)
+	t.walkOperand(c, &ent.Src2)
+	c.U64(&ent.CreatorSeq)
+	c.Int(&ent.DAEC)
+	c.Bool(&ent.HasRange)
+	c.U64(&ent.RangeLo)
+	c.U64(&ent.RangeHi)
+	c.U64(&ent.Episode)
+	c.U64(&ent.lru)
 }
 
-// SaveState encodes the NRBQ.
-func (q *NRBQ) SaveState(e *ckpt.Encoder) {
-	e.Tag("nrbq")
-	e.Int(len(q.entries))
-	e.Int(q.n)
+// walkOperand saves or loads one seq1/seq2 slot; the cached producer
+// pointer travels as its way index.
+func (t *SRSMT) walkOperand(c *ckpt.Codec, o *OperandRef) {
+	c.U8((*uint8)(&o.Kind))
+	c.U64(&o.Value)
+	c.U64(&o.PC)
+	c.U64(&o.Gen)
+	t.WalkRef(c, &o.Prod, "operand producer")
+	c.Int(&o.Base)
+}
+
+// Walk saves or loads the NRBQ; a load needs the same capacity.
+func (q *NRBQ) Walk(c *ckpt.Codec) {
+	c.Tag("nrbq")
+	if !c.Size(len(q.entries), "NRBQ capacity") {
+		return
+	}
+	c.Int(&q.n)
+	if q.n < 0 || q.n > len(q.entries) {
+		c.Fail("NRBQ live count %d out of range (capacity %d)", q.n, len(q.entries))
+		q.n = 0
+		return
+	}
 	for i := 0; i < q.n; i++ {
 		en := &q.entries[i]
-		e.U64(en.Seq)
-		e.U64(en.BranchPC)
-		e.Int(en.ReconvPC)
-		e.U64(uint64(en.Mask))
-		e.Bool(en.used)
-	}
-}
-
-// LoadState restores state saved from a queue with the same capacity.
-func (q *NRBQ) LoadState(d *ckpt.Decoder) {
-	d.Tag("nrbq")
-	capacity := d.Int()
-	n := d.Int()
-	if d.Err() != nil {
-		return
-	}
-	if capacity != len(q.entries) {
-		d.Fail("NRBQ capacity mismatch: checkpoint %d, queue %d", capacity, len(q.entries))
-		return
-	}
-	if n < 0 || n > capacity {
-		d.Fail("NRBQ live count %d out of range (capacity %d)", n, capacity)
-		return
-	}
-	q.n = n
-	for i := 0; i < n; i++ {
-		en := &q.entries[i]
-		en.Seq = d.U64()
-		en.BranchPC = d.U64()
-		en.ReconvPC = d.Int()
-		en.Mask = RegMask(d.U64())
-		en.used = d.Bool()
+		c.U64(&en.Seq)
+		c.U64(&en.BranchPC)
+		c.Int(&en.ReconvPC)
+		c.U64((*uint64)(&en.Mask))
+		c.Bool(&en.used)
 	}
 }

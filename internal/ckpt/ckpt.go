@@ -1,15 +1,15 @@
 // Package ckpt implements the CIVK checkpoint container: the versioned,
 // CRC-protected envelope every civect checkpoint (full-machine processor
-// state, emulator snapshots) is stored in, plus the flat little-endian
-// encoder/decoder the state serializers are written against.
+// state, sample state) is stored in, plus the flat little-endian Codec
+// the state serializers are written against.
 //
 // The container mirrors the CIVT trace journal's robustness discipline:
 // a magic number so foreign files fail immediately, an explicit format
 // version so incompatible readers reject with a clear error instead of
 // misparsing, a declared payload length so truncation is detected before
 // decoding starts, and a CRC32 over header and payload so any flipped
-// byte is caught. Decoding never panics on hostile input: every getter
-// is bounds-checked and the first failure latches into the decoder's
+// byte is caught. Decoding never panics on hostile input: every read
+// is bounds-checked and the first failure latches into the codec's
 // error state.
 //
 //	offset  size  field
@@ -37,200 +37,249 @@ const (
 	trailerSize = 4
 )
 
-// Encoder appends fixed-width little-endian primitives to a buffer. The
-// zero value is ready to use.
-type Encoder struct {
-	buf []byte
-}
-
-// Bytes returns the encoded payload.
-func (e *Encoder) Bytes() []byte { return e.buf }
-
-// Len returns the number of bytes encoded so far.
-func (e *Encoder) Len() int { return len(e.buf) }
-
-// U64 appends a uint64.
-func (e *Encoder) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-
-// U32 appends a uint32.
-func (e *Encoder) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-
-// U8 appends a single byte.
-func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
-
-// I64 appends an int64 (two's complement).
-func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
-
-// Int appends an int as an int64.
-func (e *Encoder) Int(v int) { e.I64(int64(v)) }
-
-// Bool appends a bool as one byte.
-func (e *Encoder) Bool(v bool) {
-	if v {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-}
-
-// F64 appends a float64 by its IEEE-754 bit pattern, so round-tripping
-// is exact.
-func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
-
-// Str appends a length-prefixed string.
-func (e *Encoder) Str(s string) {
-	e.U32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-// Tag appends a section marker. Decoders check tags with Decoder.Tag, so
-// a serializer/deserializer mismatch fails at the section that drifted
-// instead of misparsing everything after it.
-func (e *Encoder) Tag(name string) { e.Str(name) }
-
-// Decoder reads the primitives Encoder writes. The first malformed read
-// latches an error; subsequent getters return zero values, so decode
-// sequences can run to completion and check Err once.
-type Decoder struct {
+// Codec walks a payload in one direction. The zero value encodes,
+// appending to its buffer; Decode returns one that decodes a payload.
+// Every primitive takes a pointer: encoding writes the value it points
+// to, decoding stores into it. A structure's serializer is therefore
+// one walk that both saves and loads it, and each field's position in
+// the format is written once. Decoding never panics on hostile input:
+// every read is bounds-checked, and the first failure latches, after
+// which reads store zero values, so a walk can run to completion and
+// check Err once.
+type Codec struct {
 	buf []byte
 	off int
 	err error
+	dec bool
 }
 
-// NewDecoder returns a decoder over payload.
-func NewDecoder(payload []byte) *Decoder { return &Decoder{buf: payload} }
+// Decode returns a codec that decodes payload.
+func Decode(payload []byte) *Codec { return &Codec{buf: payload, dec: true} }
+
+// Decoding reports the walk's direction.
+func (c *Codec) Decoding() bool { return c.dec }
+
+// Payload returns the bytes encoded so far or, decoding, the whole
+// payload.
+func (c *Codec) Payload() []byte { return c.buf }
 
 // Err returns the first decoding error, if any.
-func (d *Decoder) Err() error { return d.err }
+func (c *Codec) Err() error { return c.err }
 
 // Remaining returns the number of undecoded bytes.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
+func (c *Codec) Remaining() int { return len(c.buf) - c.off }
 
-func (d *Decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("ckpt: "+format, args...)
+// Offset returns the payload offset of the next undecoded byte, so a
+// walk that validates a Raw block can name the exact offset of a bad
+// byte.
+func (c *Codec) Offset() int { return c.off }
+
+// Fail latches an error from a walk that decoded a structurally valid
+// but semantically impossible value (an out-of-range index, a geometry
+// mismatch). The first latched error wins.
+func (c *Codec) Fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("ckpt: "+format, args...)
 	}
 }
 
-// Fail latches a decoding error from a state deserializer that found a
-// structurally valid but semantically impossible value (an out-of-range
-// index, a geometry mismatch). The first latched error wins.
-func (d *Decoder) Fail(format string, args ...any) { d.fail(format, args...) }
-
-func (d *Decoder) take(n int) []byte {
-	if d.err != nil {
+func (c *Codec) take(n int) []byte {
+	if c.err != nil {
 		return nil
 	}
-	if n > len(d.buf)-d.off {
-		d.fail("payload truncated: need %d bytes at offset %d, have %d", n, d.off, len(d.buf)-d.off)
+	if n > len(c.buf)-c.off {
+		c.Fail("payload truncated: need %d bytes at offset %d, have %d", n, c.off, len(c.buf)-c.off)
 		return nil
 	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
+	b := c.buf[c.off : c.off+n]
+	c.off += n
 	return b
 }
 
-// U64 reads a uint64.
-func (d *Decoder) U64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
+// U64 walks a uint64, little-endian.
+func (c *Codec) U64(v *uint64) {
+	if c.dec {
+		*v = c.get(8)
+		return
 	}
-	return binary.LittleEndian.Uint64(b)
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, *v)
 }
 
-// U32 reads a uint32.
-func (d *Decoder) U32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
+// U32 walks a uint32, little-endian.
+func (c *Codec) U32(v *uint32) {
+	if c.dec {
+		*v = uint32(c.get(4))
+		return
 	}
-	return binary.LittleEndian.Uint32(b)
+	c.buf = binary.LittleEndian.AppendUint32(c.buf, *v)
 }
 
-// U8 reads a single byte.
-func (d *Decoder) U8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
+// U8 walks a single byte.
+func (c *Codec) U8(v *uint8) {
+	if c.dec {
+		*v = uint8(c.get(1))
+		return
 	}
-	return b[0]
+	c.buf = append(c.buf, *v)
 }
 
-// I64 reads an int64.
-func (d *Decoder) I64() int64 { return int64(d.U64()) }
-
-// Int reads an int encoded by Encoder.Int.
-func (d *Decoder) Int() int { return int(d.I64()) }
-
-// Bool reads a bool. Any byte other than 0 or 1 is malformed.
-func (d *Decoder) Bool() bool {
-	switch d.U8() {
-	case 0:
-		return false
+// get decodes an n-byte little-endian value (n is 1, 4 or 8), or 0
+// once an error has latched. It is out of line so that the primitives'
+// encoding halves inline.
+func (c *Codec) get(n int) uint64 {
+	switch b := c.take(n); len(b) {
+	case 8:
+		return binary.LittleEndian.Uint64(b)
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
 	case 1:
-		return true
-	default:
-		d.fail("malformed bool at offset %d", d.off-1)
-		return false
+		return uint64(b[0])
+	}
+	return 0
+}
+
+// I64 walks an int64 as its two's-complement uint64.
+func (c *Codec) I64(v *int64) {
+	x := uint64(*v)
+	c.U64(&x)
+	if c.dec {
+		*v = int64(x)
 	}
 }
 
-// Offset returns the payload offset of the next undecoded byte, so a
-// deserializer that validates a Raw block can name the exact offset
-// of a bad byte.
-func (d *Decoder) Offset() int { return d.off }
+// Int walks an int as an int64.
+func (c *Codec) Int(v *int) {
+	x := uint64(*v)
+	c.U64(&x)
+	if c.dec {
+		*v = int(int64(x))
+	}
+}
+
+// Int32 walks an int32 at the int64 width Int uses, so a field that
+// narrowed in memory keeps its place in the format. Decoding truncates.
+func (c *Codec) Int32(v *int32) {
+	x := uint64(*v)
+	c.U64(&x)
+	if c.dec {
+		*v = int32(x)
+	}
+}
+
+// Bool walks a bool as one byte. Decoding rejects any byte other than
+// 0 or 1.
+func (c *Codec) Bool(v *bool) {
+	if c.dec {
+		c.getBool(v)
+	} else if *v {
+		c.buf = append(c.buf, 1)
+	} else {
+		c.buf = append(c.buf, 0)
+	}
+}
+
+func (c *Codec) getBool(v *bool) {
+	b := c.get(1)
+	if b > 1 {
+		c.Fail("malformed bool at offset %d", c.off-1)
+	}
+	*v = b == 1
+}
+
+// F64 walks a float64 by its IEEE-754 bit pattern, so round-tripping
+// is exact.
+func (c *Codec) F64(v *float64) {
+	x := math.Float64bits(*v)
+	c.U64(&x)
+	if c.dec {
+		*v = math.Float64frombits(x)
+	}
+}
+
+// Str walks a length-prefixed string.
+func (c *Codec) Str(v *string) {
+	n := uint32(len(*v))
+	c.U32(&n)
+	if !c.dec {
+		c.buf = append(c.buf, *v...)
+		return
+	}
+	if c.err == nil && uint64(n) > uint64(c.Remaining()) {
+		c.Fail("string length %d exceeds remaining payload %d", n, c.Remaining())
+	}
+	*v = string(c.take(int(n)))
+}
+
+// Tag walks a section marker. Decoding fails unless the marker is
+// name, so a walk that drifted from the bytes fails at the section
+// that drifted instead of misparsing everything after it.
+func (c *Codec) Tag(name string) {
+	got := name
+	c.Str(&got)
+	if c.err == nil && got != name {
+		c.Fail("section marker mismatch: have %q, want %q", got, name)
+	}
+}
+
+// Count walks a non-negative element count as an Int. Decoding rejects
+// a count that could not possibly fit in the remaining payload (each
+// element costs at least one byte), so a corrupt length fails here
+// instead of driving a huge allocation; *n is then 0.
+func (c *Codec) Count(n *int) {
+	c.Int(n)
+	if c.dec && c.err == nil && (*n < 0 || *n > c.Remaining()) {
+		c.Fail("element count %d invalid with %d bytes remaining", *n, c.Remaining())
+	}
+	if c.err != nil {
+		*n = 0
+	}
+}
+
+// Size walks the size n of a structure decoded in place: encoding
+// writes n, decoding fails unless the payload's size equals it. It
+// reports whether the walk may go on into the structure.
+func (c *Codec) Size(n int, what string) bool {
+	got := n
+	c.Int(&got)
+	if c.err == nil && got != n {
+		c.Fail("%s mismatch: checkpoint has %d, structure has %d", what, got, n)
+	}
+	return c.err == nil
+}
+
+// Bytes walks a fixed-length block, such as a table of byte counters:
+// encoding appends b, decoding fills it.
+func (c *Codec) Bytes(b []byte) {
+	if !c.dec {
+		c.buf = append(c.buf, b...)
+	} else if r := c.take(len(b)); r != nil {
+		copy(b, r)
+	}
+}
 
 // Raw returns the next n payload bytes as they were encoded, for
-// deserializers that decode fixed-width arrays in bulk. A block
-// running past the payload latches the truncation error and returns
-// nil. The bytes alias the payload and must not be modified.
-func (d *Decoder) Raw(n int) []byte {
+// decoders that decode fixed-width arrays in bulk. A block running
+// past the payload latches the truncation error and returns nil. The
+// bytes alias the payload and must not be modified.
+func (c *Codec) Raw(n int) []byte {
 	if n < 0 {
-		d.fail("negative raw length %d at offset %d", n, d.off)
+		c.Fail("negative raw length %d at offset %d", n, c.off)
 		return nil
 	}
-	return d.take(n)
+	return c.take(n)
 }
 
-// F64 reads a float64 written by Encoder.F64.
-func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
-
-// Str reads a length-prefixed string.
-func (d *Decoder) Str() string {
-	n := d.U32()
-	if d.err != nil {
-		return ""
+// Slice walks a length-prefixed slice, each element by elem. Decoding
+// replaces *s with a new slice of the decoded length.
+func Slice[T any](c *Codec, s *[]T, elem func(*T)) {
+	n := len(*s)
+	c.Count(&n)
+	if c.dec {
+		*s = make([]T, n)
 	}
-	if uint64(n) > uint64(d.Remaining()) {
-		d.fail("string length %d exceeds remaining payload %d", n, d.Remaining())
-		return ""
+	for i := range *s {
+		elem(&(*s)[i])
 	}
-	return string(d.take(int(n)))
-}
-
-// Tag reads a section marker and fails unless it matches want.
-func (d *Decoder) Tag(want string) {
-	got := d.Str()
-	if d.err == nil && got != want {
-		d.fail("section marker mismatch: have %q, want %q", got, want)
-	}
-}
-
-// Count reads a non-negative element count written by Encoder.Int and
-// rejects counts that could not possibly fit in the remaining payload
-// (each element costs at least one byte), so corrupt lengths fail here
-// instead of driving a huge allocation.
-func (d *Decoder) Count() int {
-	n := d.Int()
-	if d.err != nil {
-		return 0
-	}
-	if n < 0 || n > d.Remaining() {
-		d.fail("element count %d invalid with %d bytes remaining", n, d.Remaining())
-		return 0
-	}
-	return n
 }
 
 // Seal wraps payload in a CIVK container with the given format version.
@@ -283,27 +332,26 @@ func Version(data []byte) (uint32, error) {
 }
 
 // WriteFile atomically writes a sealed container to path: the bytes land
-// in a temporary file in the same directory which is renamed over the
-// destination, so a crash mid-write never leaves a half-written
-// checkpoint where a resume would find it.
+// in a temporary file in the same directory, which is synced, closed
+// and renamed over the destination, so a crash never leaves a
+// half-written checkpoint where a resume would find it.
 func WriteFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
 	if err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("ckpt: %w", err)
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("ckpt: %w", err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
 		return fmt.Errorf("ckpt: %w", err)
 	}
 	return nil

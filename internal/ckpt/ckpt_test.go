@@ -8,17 +8,41 @@ import (
 	"testing"
 )
 
+// sample is a record walked by one function in both directions.
+type sample struct {
+	u   uint64
+	i   int64
+	b   bool
+	f   float64
+	s   string
+	n   int
+	n32 int32
+	blk [3]byte
+}
+
+func (r *sample) walk(c *Codec) {
+	c.Tag("sample")
+	c.U64(&r.u)
+	c.I64(&r.i)
+	c.Bool(&r.b)
+	c.F64(&r.f)
+	c.Str(&r.s)
+	c.Int(&r.n)
+	c.Int32(&r.n32)
+	c.Bytes(r.blk[:])
+}
+
+var want = sample{0xdeadbeefcafef00d, -42, true, 3.5, "hello, checkpoint", 7, -9, [3]byte{1, 2, 3}}
+
 func samplePayload(t *testing.T) []byte {
 	t.Helper()
-	var e Encoder
-	e.Tag("sample")
-	e.U64(0xdeadbeefcafef00d)
-	e.I64(-42)
-	e.Bool(true)
-	e.F64(3.5)
-	e.Str("hello, checkpoint")
-	e.Int(7)
-	return e.Bytes()
+	var c Codec
+	r := want
+	r.walk(&c)
+	if r != want {
+		t.Fatalf("encoding changed the record: %+v", r)
+	}
+	return c.Payload()
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -31,31 +55,26 @@ func TestRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("payload mismatch after round trip")
 	}
-	d := NewDecoder(got)
-	d.Tag("sample")
-	if v := d.U64(); v != 0xdeadbeefcafef00d {
-		t.Errorf("U64 = %#x", v)
-	}
-	if v := d.I64(); v != -42 {
-		t.Errorf("I64 = %d", v)
-	}
-	if v := d.Bool(); !v {
-		t.Errorf("Bool = false")
-	}
-	if v := d.F64(); v != 3.5 {
-		t.Errorf("F64 = %v", v)
-	}
-	if v := d.Str(); v != "hello, checkpoint" {
-		t.Errorf("Str = %q", v)
-	}
-	if v := d.Int(); v != 7 {
-		t.Errorf("Int = %d", v)
-	}
+	d := Decode(got)
+	var r sample
+	r.walk(d)
 	if err := d.Err(); err != nil {
 		t.Fatalf("decoder error: %v", err)
 	}
+	if r != want {
+		t.Errorf("decoded %+v, want %+v", r, want)
+	}
 	if d.Remaining() != 0 {
 		t.Fatalf("%d undecoded bytes", d.Remaining())
+	}
+	// The 8-byte Int32 truncates a value wider than 32 bits.
+	var wide Codec
+	big := 1<<40 | 5
+	wide.Int(&big)
+	var n32 int32
+	Decode(wide.Payload()).Int32(&n32)
+	if n32 != 5 {
+		t.Errorf("Int32 of 2^40+5 = %d, want 5", n32)
 	}
 }
 
@@ -109,40 +128,55 @@ func TestBadMagic(t *testing.T) {
 }
 
 // TestDecoderHostileInput drives the decoder over garbage: it must latch
-// errors, never panic, and keep returning zero values.
+// errors, never panic, and keep storing zero values.
 func TestDecoderHostileInput(t *testing.T) {
-	d := NewDecoder([]byte{0xff, 0xff, 0xff, 0xff, 0xff})
-	if s := d.Str(); s != "" || d.Err() == nil {
+	d := Decode([]byte{0xff, 0xff, 0xff, 0xff, 0xff})
+	s := "x"
+	if d.Str(&s); s != "" || d.Err() == nil {
 		t.Fatalf("oversized string length accepted: %q, %v", s, d.Err())
 	}
-	// After the latch, every getter is a zero-valued no-op.
-	if d.U64() != 0 || d.Bool() || d.Int() != 0 {
-		t.Fatalf("getters returned non-zero after error latch")
+	// After the latch, every read stores a zero value.
+	u, b, n := uint64(1), true, 1
+	d.U64(&u)
+	d.Bool(&b)
+	d.Int(&n)
+	if u != 0 || b || n != 0 {
+		t.Fatalf("reads stored non-zero values after error latch")
 	}
 
-	d = NewDecoder([]byte{7})
-	if d.Bool(); d.Err() == nil {
+	d = Decode([]byte{7})
+	if d.Bool(&b); d.Err() == nil {
 		t.Fatalf("malformed bool byte accepted")
 	}
 
-	d = NewDecoder(nil)
+	d = Decode(nil)
 	d.Tag("x")
 	if d.Err() == nil {
 		t.Fatalf("tag read from empty payload succeeded")
 	}
 
-	var e Encoder
-	e.Int(1 << 40)
-	d = NewDecoder(e.Bytes())
-	if d.Count(); d.Err() == nil {
-		t.Fatalf("absurd element count accepted")
+	var e Codec
+	n = 1 << 40
+	e.Int(&n)
+	d = Decode(e.Payload())
+	if d.Count(&n); d.Err() == nil || n != 0 {
+		t.Fatalf("absurd element count accepted: %d", n)
+	}
+
+	// A size that differs from the structure's stops the walk.
+	e = Codec{}
+	n = 4
+	e.Int(&n)
+	d = Decode(e.Payload())
+	if d.Size(8, "table") || d.Err() == nil || !strings.Contains(d.Err().Error(), "table mismatch: checkpoint has 4") {
+		t.Fatalf("size mismatch accepted: %v", d.Err())
 	}
 }
 
 func TestTagMismatch(t *testing.T) {
-	var e Encoder
+	var e Codec
 	e.Tag("srsmt")
-	d := NewDecoder(e.Bytes())
+	d := Decode(e.Payload())
 	d.Tag("rename")
 	if err := d.Err(); err == nil || !strings.Contains(err.Error(), "srsmt") {
 		t.Fatalf("tag mismatch not reported clearly: %v", err)
@@ -177,27 +211,29 @@ func TestWriteFileAtomicRoundTrip(t *testing.T) {
 // them; a block past the payload end (or a negative length) latches an
 // error instead of panicking.
 func TestRaw(t *testing.T) {
-	var e Encoder
-	e.U8(1)
-	e.U32(0x04030201)
-	e.U8(9)
-	d := NewDecoder(e.Bytes())
-	d.U8()
+	var e Codec
+	one, word, nine := uint8(1), uint32(0x04030201), uint8(9)
+	e.U8(&one)
+	e.U32(&word)
+	e.U8(&nine)
+	d := Decode(e.Payload())
+	var v uint8
+	d.U8(&v)
 	if off := d.Offset(); off != 1 {
 		t.Fatalf("Offset = %d, want 1", off)
 	}
 	if b := d.Raw(4); !bytes.Equal(b, []byte{1, 2, 3, 4}) {
 		t.Fatalf("Raw(4) = %v", b)
 	}
-	if v := d.U8(); v != 9 || d.Err() != nil {
+	if d.U8(&v); v != 9 || d.Err() != nil {
 		t.Fatalf("read after Raw = %d, %v", v, d.Err())
 	}
 
-	d = NewDecoder(e.Bytes())
+	d = Decode(e.Payload())
 	if b := d.Raw(7); b != nil || d.Err() == nil || !strings.Contains(d.Err().Error(), "need 7 bytes at offset 0, have 6") {
 		t.Fatalf("Raw past the end = %v, %v", b, d.Err())
 	}
-	d = NewDecoder(e.Bytes())
+	d = Decode(e.Payload())
 	if b := d.Raw(-1); b != nil || d.Err() == nil {
 		t.Fatalf("Raw(-1) = %v, %v", b, d.Err())
 	}

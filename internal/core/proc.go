@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"civect/internal/bpred"
 	"civect/internal/cache"
@@ -658,17 +659,17 @@ const (
 	runCanceled
 )
 
-// runLoop steps the pipeline until it finishes, trips the cycle bound
-// or the watchdog, or a context poll sees done closed. It is the cycle
-// loop of every detailed run; error rendering stays in RunContext, out
-// of the hot loop.
+// runLoop steps the pipeline until it halts or has committed limit
+// instructions, trips the cycle bound or the watchdog, or a context poll
+// sees done closed. It is the cycle loop of every detailed run; error
+// rendering stays in runTo, out of the hot loop.
 //
 //civet:hotpath
-func (p *Proc) runLoop(maxCycles uint64, done <-chan struct{}) runStop {
+func (p *Proc) runLoop(limit, maxCycles uint64, done <-chan struct{}) runStop {
 	lastCommit, lastCommitCycle := p.Stats.Committed, p.cycle
 	ctxCheck := ctxCheckInterval
 	for {
-		if p.halted || (p.cfg.MaxInstr > 0 && p.Stats.Committed >= p.cfg.MaxInstr) {
+		if p.halted || p.Stats.Committed >= limit {
 			return runFinished
 		}
 		if p.cycle >= maxCycles {
@@ -699,24 +700,49 @@ func (p *Proc) runLoop(maxCycles uint64, done <-chan struct{}) runStop {
 // together with ctx.Err(), so callers can report work done before the
 // cut; every other error returns nil stats as Run does.
 func (p *Proc) RunContext(ctx context.Context) (*Stats, error) {
+	limit := p.cfg.MaxInstr
+	if limit == 0 {
+		limit = math.MaxUint64
+	}
+	stop, err := p.runTo(limit, ctx.Done())
+	if err != nil {
+		return nil, err
+	}
+	if stop == runCanceled {
+		return p.Finalize(), ctx.Err()
+	}
+	return p.Finalize(), nil
+}
+
+// RunTo steps the machine until it halts or has committed n
+// instructions, under Run's cycle bound and forward-progress watchdog,
+// and returns the error Run would. The sampled-simulation driver
+// measures each sample with it: a sample's configuration comes from a
+// state file, and one with an absurd latency must stop with an error,
+// not step for ever.
+func (p *Proc) RunTo(n uint64) error {
+	_, err := p.runTo(n, nil)
+	return err
+}
+
+// runTo runs the cycle loop and renders the stops that are errors.
+func (p *Proc) runTo(limit uint64, done <-chan struct{}) (runStop, error) {
 	maxCycles := p.cfg.MaxCycles
 	if maxCycles == 0 {
 		maxCycles = 200_000_000
 	}
-	stop := p.runLoop(maxCycles, ctx.Done())
+	stop := p.runLoop(limit, maxCycles, done)
 	if p.fault != nil {
-		return nil, p.fault
+		return stop, p.fault
 	}
 	switch stop {
 	case runCycleBound:
-		return nil, fmt.Errorf("core: cycle bound %d exceeded (committed %d)", maxCycles, p.Stats.Committed)
+		return stop, fmt.Errorf("core: cycle bound %d exceeded (committed %d)", maxCycles, p.Stats.Committed)
 	case runStalled:
-		return nil, fmt.Errorf("core: no commit progress for 500k cycles at cycle %d (mode %v, head state %v)",
+		return stop, fmt.Errorf("core: no commit progress for 500k cycles at cycle %d (mode %v, head state %v)",
 			p.cycle, p.cfg.Mode, p.headState())
-	case runCanceled:
-		return p.Finalize(), ctx.Err()
 	}
-	return p.Finalize(), nil
+	return stop, nil
 }
 
 // Step advances the pipeline by one cycle (a no-op once the program

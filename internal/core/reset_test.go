@@ -40,18 +40,12 @@ func recycleEngines(t *testing.T) []string {
 	return []string{"naive", "event", "fastforward"}
 }
 
-// warmCapture encodes src's warm structures in LoadWarmState's order,
-// as the sampling driver's capture does.
+// warmCapture encodes src's warm structures as the sampling driver's
+// capture does.
 func warmCapture(src *Proc) []byte {
-	var e ckpt.Encoder
-	src.bp.SaveState(&e)
-	src.mbs.SaveState(&e)
-	src.sp.SaveState(&e)
-	src.hier.L1I.SaveState(&e)
-	src.hier.L1D.SaveState(&e)
-	src.hier.L2.SaveState(&e)
-	src.hier.L3.SaveState(&e)
-	return e.Bytes()
+	var e ckpt.Codec
+	WalkWarmState(&e, src.bp, src.mbs, src.sp, src.hier.L1I, src.hier.L1D, src.hier.L2, src.hier.L3)
+	return e.Payload()
 }
 
 // sampledBuild starts p the way the sampling driver starts a sample
@@ -75,7 +69,7 @@ func sampledBuild(t *testing.T, p *Proc, cfg Config, b *workload.Benchmark) {
 	if err := p.SetArchState(cpu.Regs, cpu.PC); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.LoadWarmState(ckpt.NewDecoder(warmCapture(src))); err != nil {
+	if err := p.LoadWarmState(ckpt.Decode(warmCapture(src))); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -286,18 +280,20 @@ func TestRestoreRejectsForgedROBHead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rob ckpt.Encoder
+	var rob ckpt.Codec
 	rob.Tag("rob")
-	rob.Int(len(src.rob))
-	rob.Int(src.robHead)
-	at := bytes.Index(payload, rob.Bytes())
+	nrob, robHead := len(src.rob), src.robHead
+	rob.Int(&nrob)
+	rob.Int(&robHead)
+	at := bytes.Index(payload, rob.Payload())
 	if at < 0 {
 		t.Fatal("ROB section not found in the checkpoint")
 	}
 	forged := append([]byte(nil), payload...)
-	var head ckpt.Encoder
-	head.Int(1 << 40)
-	copy(forged[at+rob.Len()-head.Len():], head.Bytes())
+	var head ckpt.Codec
+	forgedHead := 1 << 40
+	head.Int(&forgedHead)
+	copy(forged[at+len(rob.Payload())-len(head.Payload()):], head.Payload())
 	if p, err := RestoreCheckpoint(ckpt.Seal(CheckpointVersion, forged), b.Program, base); err == nil {
 		p.Step()
 		t.Fatal("checkpoint with ROB head 2^40 restored without error")
@@ -372,8 +368,8 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh.LoadWarmState(ckpt.NewDecoder(data))
-		slot.LoadWarmState(ckpt.NewDecoder(data))
+		fresh.LoadWarmState(ckpt.Decode(data))
+		slot.LoadWarmState(ckpt.Decode(data))
 	})
 }
 

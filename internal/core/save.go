@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"civect/internal/bpred"
 	"civect/internal/cache"
@@ -9,7 +10,6 @@ import (
 	"civect/internal/ckpt"
 	"civect/internal/isa"
 	"civect/internal/mem"
-	"civect/internal/regfile"
 	"civect/internal/stride"
 )
 
@@ -26,6 +26,11 @@ import (
 // run diverge from the run it checkpointed. The differential suite in
 // save_test.go proves the property across engines, modes and workloads.
 //
+// Each structure has one walk that both saves and loads it (a
+// ckpt.Codec runs in one direction), so every field's place in the
+// format is written once. A load fills the machine Reset built for the
+// checkpoint's configuration and checks geometry against it.
+//
 // What is deliberately NOT serialized:
 //
 //   - intra-cycle scratch (inTick/tickIdx/scan*, turnNextDone, per-cycle
@@ -37,8 +42,8 @@ import (
 //     from the serialized Config exactly as build does.
 //
 // Pointer-shaped state is index-encoded: SRSMT worklist/watch listings
-// and ROB value-entry pointers become (way index, generation) pairs
-// re-linked against the restored table's fixed way storage.
+// and ROB value-entry pointers travel as way indices, re-linked against
+// the restored table's fixed way storage.
 
 // CheckpointVersion is the CIVK payload format version for full-machine
 // processor checkpoints. Bump on any layout change.
@@ -50,28 +55,25 @@ const CheckpointVersion = 1
 type CheckpointInfo struct {
 	Config      Config
 	Program     string
+	ProgramLen  int
 	ProgramHash uint64
 	Cycle       uint64
 	Committed   uint64
 }
 
-// HashProgram exposes the checkpoint program digest to sibling
-// serializers (internal/sample's state files carry the same triple —
-// name, length, hash — and must refuse the same mismatches). The digest
-// is computed once per program (isa.Program.Hash).
+// HashProgram returns prog.Hash(), the program digest checkpoints and
+// sample-state files carry; perfbench's tests still call it.
 func HashProgram(prog *isa.Program) uint64 { return prog.Hash() }
 
-// SaveConfigState / LoadConfigState expose the checkpoint Config
-// encoding for the same reason: a sample-state file is self-describing,
-// carrying the detailed-machine configuration its measurements assume.
-func SaveConfigState(e *ckpt.Encoder, c *Config) { saveConfig(e, c) }
+// WalkConfig saves or loads a Config. Sample-state files share the
+// checkpoint's encoding: they carry the detailed-machine configuration
+// their measurements assume.
+func WalkConfig(c *ckpt.Codec, cfg *Config) {
+	c.Tag("config")
+	walkFields(c, configFields(cfg))
+}
 
-// LoadConfigState decodes a Config written by SaveConfigState.
-func LoadConfigState(d *ckpt.Decoder) Config { return loadConfig(d) }
-
-// configFields lists c's serialized fields in CIVK order. saveConfig
-// and loadConfig both walk it, as saveStats and loadStats walk
-// statsFields, so an encoding and its decoding cannot drift apart.
+// configFields lists c's serialized fields in CIVK order.
 func configFields(c *Config) []any {
 	f := []any{&c.Mode, &c.FetchWidth, &c.DecodeWidth, &c.IssueWidth, &c.CommitWidth,
 		&c.FrontEndDepth, &c.WindowSize, &c.LSQSize, &c.IntALUs, &c.IntMulDivs,
@@ -85,236 +87,6 @@ func configFields(c *Config) []any {
 		&c.NRBQEntries, &c.SpecMemSize, &c.SpecMemLat, &c.ReplicaRegReserve, &c.RenameRegHeadroom,
 		&c.DisableDAEC, &c.DisableMBSGate, &c.NaiveScheduler, &c.NoFastForward,
 		&c.CommitRecomputeAll, &c.EmulateAliasedWorklist, &c.MaxInstr, &c.MaxCycles)
-}
-
-func saveConfig(e *ckpt.Encoder, c *Config) {
-	e.Tag("config")
-	for _, f := range configFields(c) {
-		saveField(e, f)
-	}
-}
-
-func loadConfig(d *ckpt.Decoder) Config {
-	d.Tag("config")
-	var c Config
-	for _, f := range configFields(&c) {
-		loadField(d, f)
-	}
-	return c
-}
-
-// saveField encodes the field f points to by its type.
-func saveField(e *ckpt.Encoder, f any) {
-	switch f := f.(type) {
-	case *Mode:
-		e.Int(int(*f))
-	case *int:
-		e.Int(*f)
-	case *bool:
-		e.Bool(*f)
-	case *uint64:
-		e.U64(*f)
-	case *float64:
-		e.F64(*f)
-	default:
-		panic(fmt.Sprintf("core: no checkpoint encoding for %T", f))
-	}
-}
-
-// loadField decodes into the field f points to, as saveField wrote it.
-func loadField(d *ckpt.Decoder, f any) {
-	switch f := f.(type) {
-	case *Mode:
-		*f = Mode(d.Int())
-	case *int:
-		*f = d.Int()
-	case *bool:
-		*f = d.Bool()
-	case *uint64:
-		*f = d.U64()
-	case *float64:
-		*f = d.F64()
-	default:
-		panic(fmt.Sprintf("core: no checkpoint decoding for %T", f))
-	}
-}
-
-func saveRenEntry(e *ckpt.Encoder, r *renEntry) {
-	e.U64(r.writerSeq)
-	e.U64(r.vecGen)
-	e.U64(r.vecPC)
-	e.Int(int(r.phys))
-	e.Int(int(r.writerPC))
-	e.Int(int(r.strideRef))
-	e.Bool(r.vec)
-	e.Bool(r.dirty)
-	e.U8(r.nStrided)
-}
-
-func loadRenEntry(d *ckpt.Decoder, r *renEntry) {
-	r.writerSeq = d.U64()
-	r.vecGen = d.U64()
-	r.vecPC = d.U64()
-	r.phys = int32(d.Int())
-	r.writerPC = int32(d.Int())
-	r.strideRef = int32(d.Int())
-	r.vec = d.Bool()
-	r.dirty = d.Bool()
-	r.nStrided = d.U8()
-}
-
-// saveEntryRef encodes an SRSMT worklist listing as (way, gen, stamp).
-func (p *Proc) saveEntryRef(e *ckpt.Encoder, r *entryRef) {
-	if r.ent == nil {
-		e.Int(-1)
-		return
-	}
-	e.Int(p.srsmt.WayOf(r.ent))
-	e.U64(r.gen)
-	e.U64(r.stamp)
-}
-
-func (p *Proc) loadEntryRef(d *ckpt.Decoder) (entryRef, bool) {
-	w := d.Int()
-	if w < 0 || d.Err() != nil {
-		return entryRef{}, false
-	}
-	if p.srsmt == nil || w >= p.srsmt.NumWays() {
-		d.Fail("worklist way %d out of range", w)
-		return entryRef{}, false
-	}
-	ent := p.srsmt.Way(w)
-	return entryRef{ent: ent, hdr: ent.TurnHeader, gen: d.U64(), stamp: d.U64()}, true
-}
-
-func saveWaitRef(e *ckpt.Encoder, r waitRef) {
-	e.Int(r.idx)
-	e.U64(r.seq)
-	e.U64(r.stamp)
-}
-
-func loadWaitRef(d *ckpt.Decoder) waitRef {
-	return waitRef{idx: d.Int(), seq: d.U64(), stamp: d.U64()}
-}
-
-func saveWaitList(e *ckpt.Encoder, l []waitRef) {
-	e.Int(len(l))
-	for _, r := range l {
-		saveWaitRef(e, r)
-	}
-}
-
-func loadWaitList(d *ckpt.Decoder) []waitRef {
-	n := d.Count()
-	if n == 0 {
-		return nil
-	}
-	l := make([]waitRef, n)
-	for i := range l {
-		l[i] = loadWaitRef(d)
-	}
-	return l
-}
-
-func (p *Proc) saveROBEntry(e *ckpt.Encoder, r *robEntry) {
-	e.Bool(r.valid)
-	e.U8(uint8(r.state))
-	e.Bool(r.hasDest)
-	e.Bool(r.predTaken)
-	e.Bool(r.actTaken)
-	e.Bool(r.mispredicted)
-	e.Bool(r.executed)
-	e.Bool(r.fwdStore)
-	e.Bool(r.ciSelected)
-	e.Bool(r.afterCRP)
-	e.Bool(r.validated)
-	e.Bool(r.reuseIW)
-	e.Bool(r.tainted)
-	e.Bool(r.copySched)
-	e.U8(uint8(r.logDest))
-	e.U8(r.nsrc)
-	e.Int(int(r.pc))
-	e.Int(int(r.physDest))
-	e.Int(int(r.actTarget))
-	e.Int(int(r.valIdx))
-	e.Int(int(r.srcPhys[0]))
-	e.Int(int(r.srcPhys[1]))
-	e.U64(r.seq)
-	e.U8(uint8(r.in.Op))
-	e.U8(uint8(r.in.Rd))
-	e.U8(uint8(r.in.Ra))
-	e.U8(uint8(r.in.Rb))
-	e.I64(r.in.Imm)
-	e.Int(r.in.Target)
-	saveRenEntry(e, &r.oldRen)
-	e.U64(r.histSnapshot)
-	e.U64(r.addr)
-	e.U64(r.value)
-	e.U64(r.doneAt)
-	e.U64(r.ciEpisode)
-	if r.valEntry != nil {
-		e.Int(p.srsmt.WayOf(r.valEntry))
-	} else {
-		e.Int(-1)
-	}
-	e.U64(r.valGen)
-	e.U64(r.valSince)
-	e.U64(r.srcWriterSeq[0])
-	e.U64(r.srcWriterSeq[1])
-	e.U64(r.copyReadyAt)
-}
-
-func (p *Proc) loadROBEntry(d *ckpt.Decoder, r *robEntry) {
-	r.valid = d.Bool()
-	r.state = instState(d.U8())
-	r.hasDest = d.Bool()
-	r.predTaken = d.Bool()
-	r.actTaken = d.Bool()
-	r.mispredicted = d.Bool()
-	r.executed = d.Bool()
-	r.fwdStore = d.Bool()
-	r.ciSelected = d.Bool()
-	r.afterCRP = d.Bool()
-	r.validated = d.Bool()
-	r.reuseIW = d.Bool()
-	r.tainted = d.Bool()
-	r.copySched = d.Bool()
-	r.logDest = isa.Reg(d.U8())
-	r.nsrc = d.U8()
-	r.pc = int32(d.Int())
-	r.physDest = int32(d.Int())
-	r.actTarget = int32(d.Int())
-	r.valIdx = int32(d.Int())
-	r.srcPhys[0] = int32(d.Int())
-	r.srcPhys[1] = int32(d.Int())
-	r.seq = d.U64()
-	r.in.Op = isa.Op(d.U8())
-	r.in.Rd = isa.Reg(d.U8())
-	r.in.Ra = isa.Reg(d.U8())
-	r.in.Rb = isa.Reg(d.U8())
-	r.in.Imm = d.I64()
-	r.in.Target = d.Int()
-	loadRenEntry(d, &r.oldRen)
-	r.histSnapshot = d.U64()
-	r.addr = d.U64()
-	r.value = d.U64()
-	r.doneAt = d.U64()
-	r.ciEpisode = d.U64()
-	w := d.Int()
-	if w >= 0 {
-		if p.srsmt == nil || w >= p.srsmt.NumWays() {
-			d.Fail("ROB value-entry way %d out of range", w)
-			return
-		}
-		r.valEntry = p.srsmt.Way(w)
-	} else {
-		r.valEntry = nil
-	}
-	r.valGen = d.U64()
-	r.valSince = d.U64()
-	r.srcWriterSeq[0] = d.U64()
-	r.srcWriterSeq[1] = d.U64()
-	r.copyReadyAt = d.U64()
 }
 
 // statsFields lists the serialized statistics in CIVK order. Cache-level
@@ -334,18 +106,383 @@ func statsFields(s *Stats) []any {
 	}
 }
 
-func (p *Proc) saveStats(e *ckpt.Encoder) {
-	e.Tag("stats")
-	for _, f := range statsFields(&p.Stats) {
-		saveField(e, f)
+// walkFields walks each field of a field list by its type.
+func walkFields(c *ckpt.Codec, fields []any) {
+	for _, f := range fields {
+		switch f := f.(type) {
+		case *Mode:
+			c.Int((*int)(f))
+		case *int:
+			c.Int(f)
+		case *bool:
+			c.Bool(f)
+		case *uint64:
+			c.U64(f)
+		case *float64:
+			c.F64(f)
+		default:
+			panic(fmt.Sprintf("core: no checkpoint encoding for %T", f))
+		}
 	}
 }
 
-func (p *Proc) loadStats(d *ckpt.Decoder) {
-	d.Tag("stats")
-	for _, f := range statsFields(&p.Stats) {
-		loadField(d, f)
+// walk saves or loads the checkpoint's identity prefix.
+func (info *CheckpointInfo) walk(c *ckpt.Codec) {
+	c.Tag("proc")
+	WalkConfig(c, &info.Config)
+	c.Tag("prog")
+	c.Str(&info.Program)
+	c.Int(&info.ProgramLen)
+	c.U64(&info.ProgramHash)
+	c.Tag("arch")
+	c.U64(&info.Cycle)
+	c.U64(&info.Committed) // duplicated from the statistics so a peek stays cheap
+}
+
+// walk saves or loads the machine state that follows the identity
+// prefix, section by section. Data memory travels as sparse deltas
+// against base, through mem's SaveDelta/LoadDelta pair.
+func (p *Proc) walk(c *ckpt.Codec, base *mem.Memory) {
+	c.U64(&p.seq)
+	c.Bool(&p.halted)
+	for i := range p.arf {
+		c.U64(&p.arf[i])
 	}
+	if c.Decoding() {
+		p.mem = mem.LoadDelta(c, base)
+	} else {
+		p.mem.SaveDelta(c, base)
+	}
+
+	c.Tag("rename")
+	for i := range p.ren {
+		walkRen(c, &p.ren[i])
+	}
+	ckpt.Slice(c, &p.stridePC.lists, func(l *[maxStridedPCs]uint64) {
+		for j := range l {
+			c.U64(&l[j])
+		}
+	})
+	ckpt.Slice(c, &p.stridePC.free, c.Int32)
+	p.rf.Walk(c)
+	walkPresent(c, p.sm != nil, "spec memory", p.sm.Walk)
+
+	c.Tag("rob")
+	c.Size(len(p.rob), "ROB size")
+	c.Int(&p.robHead)
+	c.Int(&p.robTail)
+	c.Int(&p.robCount)
+	for i := range p.rob {
+		p.walkROB(c, &p.rob[i])
+	}
+
+	c.Tag("lsq")
+	ckpt.Slice(c, &p.lsq, c.Int)
+	ckpt.Slice(c, &p.storeUnknown, c.U64)
+	p.walkWordStores(c)
+
+	c.Tag("fetch")
+	c.Int(&p.fetchPC)
+	c.Bool(&p.fetchHalted)
+	c.U64(&p.fetchStallUntil)
+	q := p.fetchQ[p.fetchQHead:]
+	ckpt.Slice(c, &q, func(f *fetchedInstr) {
+		c.Int(&f.pc)
+		c.Bool(&f.predTaken)
+		c.U64(&f.histSnapshot)
+		c.U64(&f.readyAt)
+	})
+	if c.Decoding() {
+		p.fetchQ, p.fetchQHead = q, 0
+	}
+
+	p.hier.Walk(c)
+	p.bp.Walk(c)
+	p.mbs.Walk(c)
+	p.sp.Walk(c)
+
+	c.Tag("ci")
+	walkPresent(c, p.nrbq != nil, "NRBQ", p.nrbq.Walk)
+	c.Bool(&p.crp.Valid)
+	c.Int(&p.crp.PC)
+	c.Bool(&p.crp.Reached)
+	c.U64((*uint64)(&p.crp.Mask))
+	c.U64(&p.crp.Episode)
+	c.Bool(&p.episodeOpen)
+	c.Bool(&p.episodeSelected)
+	c.Bool(&p.episodeReused)
+	walkPresent(c, p.srsmt != nil, "SRSMT", p.srsmt.Walk)
+	c.U64(&p.entryStamp)
+	p.walkRefs(c, &p.activeEntries)
+	p.walkRefs(c, &p.seedWatch)
+
+	c.Tag("ciiw")
+	p.walkSquashReuse(c)
+
+	c.Tag("sched")
+	walkWaits(c, &p.waitQ)
+	walkWaits(c, &p.execQ)
+	walkWaits(c, &p.validPend)
+	c.U64(&p.execMinDone)
+	walkWaits(c, &p.readyQ)
+	p.walkParkLists(c)
+	c.U64(&p.schedStamp)
+	c.Bool(&p.lastNoIssue)
+	c.Bool(&p.readyDirty)
+
+	c.Tag("wheel")
+	for i := range p.doneWheel {
+		p.walkRefs(c, &p.doneWheel[i])
+	}
+	for i := range p.wheelOcc {
+		c.U64(&p.wheelOcc[i])
+	}
+	c.U64(&p.ffJumps)
+	c.U64(&p.ffSkipped)
+
+	c.Tag("freed")
+	c.U64(&p.freedEpoch)
+	c.Int(&p.freedCount)
+	p.walkFreed(c)
+
+	c.Tag("stats")
+	walkFields(c, statsFields(&p.Stats))
+	c.Tag("end")
+}
+
+// walkPresent walks whether a mode-dependent structure exists, then the
+// structure if it does. A load fails unless the configuration built it.
+func walkPresent(c *ckpt.Codec, present bool, what string, walk func(*ckpt.Codec)) {
+	has := present
+	c.Bool(&has)
+	if has != present {
+		c.Fail("%s presence mismatch between checkpoint and configuration", what)
+	} else if present {
+		walk(c)
+	}
+}
+
+func walkRen(c *ckpt.Codec, r *renEntry) {
+	c.U64(&r.writerSeq)
+	c.U64(&r.vecGen)
+	c.U64(&r.vecPC)
+	c.Int32(&r.phys)
+	c.Int32(&r.writerPC)
+	c.Int32(&r.strideRef)
+	c.Bool(&r.vec)
+	c.Bool(&r.dirty)
+	c.U8(&r.nStrided)
+}
+
+func (p *Proc) walkROB(c *ckpt.Codec, r *robEntry) {
+	c.Bool(&r.valid)
+	c.U8((*uint8)(&r.state))
+	c.Bool(&r.hasDest)
+	c.Bool(&r.predTaken)
+	c.Bool(&r.actTaken)
+	c.Bool(&r.mispredicted)
+	c.Bool(&r.executed)
+	c.Bool(&r.fwdStore)
+	c.Bool(&r.ciSelected)
+	c.Bool(&r.afterCRP)
+	c.Bool(&r.validated)
+	c.Bool(&r.reuseIW)
+	c.Bool(&r.tainted)
+	c.Bool(&r.copySched)
+	c.U8((*uint8)(&r.logDest))
+	c.U8(&r.nsrc)
+	c.Int32(&r.pc)
+	c.Int32(&r.physDest)
+	c.Int32(&r.actTarget)
+	c.Int32(&r.valIdx)
+	c.Int32(&r.srcPhys[0])
+	c.Int32(&r.srcPhys[1])
+	c.U64(&r.seq)
+	ci.WalkInstr(c, &r.in)
+	walkRen(c, &r.oldRen)
+	c.U64(&r.histSnapshot)
+	c.U64(&r.addr)
+	c.U64(&r.value)
+	c.U64(&r.doneAt)
+	c.U64(&r.ciEpisode)
+	p.srsmt.WalkRef(c, &r.valEntry, "ROB value-entry")
+	c.U64(&r.valGen)
+	c.U64(&r.valSince)
+	c.U64(&r.srcWriterSeq[0])
+	c.U64(&r.srcWriterSeq[1])
+	c.U64(&r.copyReadyAt)
+}
+
+// walkWordStores walks the word-store index. It is a map, so its
+// non-empty lists go in key order: the encoding of a given machine
+// state is unique (the determinism invariant).
+func (p *Proc) walkWordStores(c *ckpt.Codec) {
+	var keys []uint64
+	if !c.Decoding() {
+		for k, l := range p.wordStores {
+			if len(l) > 0 {
+				keys = append(keys, k)
+			}
+		}
+		slices.Sort(keys)
+	}
+	ckpt.Slice(c, &keys, func(k *uint64) {
+		c.U64(k)
+		l := p.wordStores[*k]
+		ckpt.Slice(c, &l, c.Int32)
+		if c.Decoding() {
+			p.wordStores[*k] = l
+		}
+	})
+}
+
+// walkRefs walks an SRSMT worklist, each listing as its way, generation
+// and stamp. A listing with no entry is saved as way -1 alone and
+// dropped on load.
+func (p *Proc) walkRefs(c *ckpt.Codec, l *[]entryRef) {
+	n, saved := len(*l), *l
+	c.Count(&n)
+	if c.Decoding() {
+		*l = (*l)[:0]
+	}
+	for i := 0; i < n; i++ {
+		var r entryRef
+		if !c.Decoding() {
+			r = saved[i]
+		}
+		p.srsmt.WalkRef(c, &r.ent, "worklist")
+		if r.ent == nil {
+			continue
+		}
+		c.U64(&r.gen)
+		c.U64(&r.stamp)
+		if c.Decoding() {
+			r.hdr = r.ent.TurnHeader
+			*l = append(*l, r)
+		}
+	}
+}
+
+func walkWaits(c *ckpt.Codec, l *[]waitRef) {
+	ckpt.Slice(c, l, func(r *waitRef) {
+		c.Int(&r.idx)
+		c.U64(&r.seq)
+		c.U64(&r.stamp)
+	})
+}
+
+// walkSquashReuse walks the ci-iw squash-reuse table: every PC the last
+// capture wrote, with its cursor and records. A load recounts iwLive,
+// the records not yet reused, from the lists and cursors.
+func (p *Proc) walkSquashReuse(c *ckpt.Codec) {
+	pcs := p.iwPCs
+	ckpt.Slice(c, &pcs, func(pc *int) {
+		c.Int(pc)
+		var head int
+		var l []iwReuse
+		if !c.Decoding() {
+			head, l = p.iwHead[*pc], p.iwTable[*pc]
+		}
+		c.Int(&head)
+		ckpt.Slice(c, &l, func(r *iwReuse) {
+			c.Int(&r.pc)
+			c.U64(&r.seq)
+			c.U64(&r.writerSeq[0])
+			c.U64(&r.writerSeq[1])
+			c.Int(&r.nsrc)
+			c.U64(&r.value)
+		})
+		if !c.Decoding() || c.Err() != nil {
+			return
+		}
+		if *pc < 0 || *pc >= len(p.iwTable) || head < 0 || head > len(l) {
+			c.Fail("squash-reuse PC %d or cursor %d outside the program or its %d records", *pc, head, len(l))
+			return
+		}
+		p.iwTable[*pc], p.iwHead[*pc] = l, head
+		p.iwLive += len(l) - head
+	})
+	if c.Decoding() {
+		p.iwPCs = pcs
+	}
+	n := len(p.iwRemapFrom)
+	c.Count(&n)
+	if c.Decoding() {
+		p.iwRemapFrom, p.iwRemapTo = make([]uint64, n), make([]uint64, n)
+	}
+	for i := range n {
+		c.U64(&p.iwRemapFrom[i])
+		c.U64(&p.iwRemapTo[i])
+	}
+	c.U64(&p.iwChainEpoch)
+}
+
+// maxRestoredRegs bounds the register numbers a load accepts: every
+// physical register costs the payload 10 bytes.
+func maxRestoredRegs(c *ckpt.Codec) int { return len(c.Payload()) / 10 }
+
+// walkParkLists walks the per-register park lists: the table's length,
+// then each non-empty list by its register.
+func (p *Proc) walkParkLists(c *ckpt.Codec) {
+	n := len(p.regWaiters)
+	c.Int(&n)
+	if c.Decoding() && c.Err() == nil {
+		// The table is at most twice the register count plus the
+		// growth slack (parkOn).
+		if n < 0 || n > 2*maxRestoredRegs(c)+64 {
+			c.Fail("park-list table of %d registers exceeds the %d-byte checkpoint", n, len(c.Payload()))
+		} else if n > len(p.regWaiters) {
+			// Unbounded register files grow the waiter table on demand;
+			// match the checkpointed size.
+			grown := make([][]waitRef, n)
+			copy(grown, p.regWaiters)
+			p.regWaiters = grown
+		}
+	}
+	var regs []int
+	if !c.Decoding() {
+		for r, l := range p.regWaiters {
+			if len(l) > 0 {
+				regs = append(regs, r)
+			}
+		}
+	}
+	ckpt.Slice(c, &regs, func(r *int) {
+		c.Int(r)
+		if *r < 0 || *r >= len(p.regWaiters) {
+			c.Fail("park-list register %d out of range (%d)", *r, len(p.regWaiters))
+			return
+		}
+		walkWaits(c, &p.regWaiters[*r])
+	})
+}
+
+// walkFreed walks the registers freed in the current epoch.
+func (p *Proc) walkFreed(c *ckpt.Codec) {
+	var freed []int
+	if !c.Decoding() {
+		for r := range p.freedMark {
+			if p.freedMark[r] == p.freedEpoch {
+				freed = append(freed, r)
+			}
+		}
+	}
+	ckpt.Slice(c, &freed, func(r *int) {
+		c.Int(r)
+		if !c.Decoding() || c.Err() != nil {
+			return
+		}
+		if *r < 0 || *r > maxRestoredRegs(c) {
+			c.Fail("freed register %d out of range", *r)
+			return
+		}
+		if *r >= len(p.freedMark) {
+			grown := make([]uint64, *r+64)
+			copy(grown, p.freedMark)
+			p.freedMark = grown
+		}
+		p.freedMark[*r] = p.freedEpoch
+	})
 }
 
 // SaveCheckpoint serializes the processor into a sealed CIVK container.
@@ -355,244 +492,32 @@ func (p *Proc) loadStats(d *ckpt.Decoder) {
 // it, and RestoreCheckpoint must be given the same image; nil encodes
 // the full memory against the empty image.
 func (p *Proc) SaveCheckpoint(base *mem.Memory) []byte {
-	var e ckpt.Encoder
-	e.Tag("proc")
-	saveConfig(&e, &p.cfg)
-
-	e.Tag("prog")
-	e.Str(p.prog.Name)
-	e.Int(p.prog.Len())
-	e.U64(p.prog.Hash())
-
-	e.Tag("arch")
-	e.U64(p.cycle)
-	e.U64(p.Stats.Committed) // duplicated here so PeekCheckpoint stays cheap
-	e.U64(p.seq)
-	e.Bool(p.halted)
-	for _, v := range p.arf {
-		e.U64(v)
-	}
-
-	p.mem.SaveDelta(&e, base)
-
-	e.Tag("rename")
-	for i := range p.ren {
-		saveRenEntry(&e, &p.ren[i])
-	}
-	e.Int(len(p.stridePC.lists))
-	for i := range p.stridePC.lists {
-		for _, v := range p.stridePC.lists[i] {
-			e.U64(v)
-		}
-	}
-	e.Int(len(p.stridePC.free))
-	for _, v := range p.stridePC.free {
-		e.Int(int(v))
-	}
-
-	p.rf.SaveState(&e)
-	e.Bool(p.sm != nil)
-	if p.sm != nil {
-		p.sm.SaveState(&e)
-	}
-
-	e.Tag("rob")
-	e.Int(len(p.rob))
-	e.Int(p.robHead)
-	e.Int(p.robTail)
-	e.Int(p.robCount)
-	for i := range p.rob {
-		p.saveROBEntry(&e, &p.rob[i])
-	}
-
-	e.Tag("lsq")
-	e.Int(len(p.lsq))
-	for _, v := range p.lsq {
-		e.Int(v)
-	}
-	e.Int(len(p.storeUnknown))
-	for _, v := range p.storeUnknown {
-		e.U64(v)
-	}
-	// wordStores is a map: emit in sorted key order so the encoding of a
-	// given machine state is unique (the determinism invariant).
-	keys := make([]uint64, 0, len(p.wordStores))
-	for k, l := range p.wordStores {
-		if len(l) > 0 {
-			keys = append(keys, k) //civet:allow mapdet sortU64 sorts keys right below, before any use
-		}
-	}
-	sortU64(keys)
-	e.Int(len(keys))
-	for _, k := range keys {
-		e.U64(k)
-		l := p.wordStores[k]
-		e.Int(len(l))
-		for _, idx := range l {
-			e.Int(int(idx))
-		}
-	}
-
-	e.Tag("fetch")
-	e.Int(p.fetchPC)
-	e.Bool(p.fetchHalted)
-	e.U64(p.fetchStallUntil)
-	n := p.fetchLen()
-	e.Int(n)
-	for i := 0; i < n; i++ {
-		f := &p.fetchQ[p.fetchQHead+i]
-		e.Int(f.pc)
-		e.Bool(f.predTaken)
-		e.U64(f.histSnapshot)
-		e.U64(f.readyAt)
-	}
-
-	p.hier.SaveState(&e)
-	p.bp.SaveState(&e)
-	p.mbs.SaveState(&e)
-	p.sp.SaveState(&e)
-
-	e.Tag("ci")
-	e.Bool(p.nrbq != nil)
-	if p.nrbq != nil {
-		p.nrbq.SaveState(&e)
-	}
-	e.Bool(p.crp.Valid)
-	e.Int(p.crp.PC)
-	e.Bool(p.crp.Reached)
-	e.U64(uint64(p.crp.Mask))
-	e.U64(p.crp.Episode)
-	e.Bool(p.episodeOpen)
-	e.Bool(p.episodeSelected)
-	e.Bool(p.episodeReused)
-	e.Bool(p.srsmt != nil)
-	if p.srsmt != nil {
-		p.srsmt.SaveState(&e)
-	}
-	e.U64(p.entryStamp)
-	e.Int(len(p.activeEntries))
-	for i := range p.activeEntries {
-		p.saveEntryRef(&e, &p.activeEntries[i])
-	}
-	e.Int(len(p.seedWatch))
-	for i := range p.seedWatch {
-		p.saveEntryRef(&e, &p.seedWatch[i])
-	}
-
-	e.Tag("ciiw")
-	// Every PC the last capture wrote; restore recounts iwLive, the
-	// records not yet reused, from the lists and cursors.
-	e.Int(len(p.iwPCs))
-	for _, pc := range p.iwPCs {
-		e.Int(pc)
-		e.Int(p.iwHead[pc])
-		l := p.iwTable[pc]
-		e.Int(len(l))
-		for i := range l {
-			e.Int(l[i].pc)
-			e.U64(l[i].seq)
-			e.U64(l[i].writerSeq[0])
-			e.U64(l[i].writerSeq[1])
-			e.Int(l[i].nsrc)
-			e.U64(l[i].value)
-		}
-	}
-	e.Int(len(p.iwRemapFrom))
-	for i := range p.iwRemapFrom {
-		e.U64(p.iwRemapFrom[i])
-		e.U64(p.iwRemapTo[i])
-	}
-	e.U64(p.iwChainEpoch)
-
-	e.Tag("sched")
-	saveWaitList(&e, p.waitQ)
-	saveWaitList(&e, p.execQ)
-	saveWaitList(&e, p.validPend)
-	e.U64(p.execMinDone)
-	saveWaitList(&e, p.readyQ)
-	e.Int(len(p.regWaiters))
-	nonEmpty := 0
-	for _, l := range p.regWaiters {
-		if len(l) > 0 {
-			nonEmpty++
-		}
-	}
-	e.Int(nonEmpty)
-	for r, l := range p.regWaiters {
-		if len(l) == 0 {
-			continue
-		}
-		e.Int(r)
-		saveWaitList(&e, l)
-	}
-	e.U64(p.schedStamp)
-	e.Bool(p.lastNoIssue)
-	e.Bool(p.readyDirty)
-
-	e.Tag("wheel")
-	for i := range p.doneWheel {
-		b := p.doneWheel[i]
-		e.Int(len(b))
-		for j := range b {
-			p.saveEntryRef(&e, &b[j])
-		}
-	}
-	for _, w := range p.wheelOcc {
-		e.U64(w)
-	}
-	e.U64(p.ffJumps)
-	e.U64(p.ffSkipped)
-
-	e.Tag("freed")
-	e.U64(p.freedEpoch)
-	e.Int(p.freedCount)
-	nFreed := 0
-	for r := range p.freedMark {
-		if p.freedMark[r] == p.freedEpoch {
-			nFreed++
-		}
-	}
-	e.Int(nFreed)
-	for r := range p.freedMark {
-		if p.freedMark[r] == p.freedEpoch {
-			e.Int(r)
-		}
-	}
-
-	p.saveStats(&e)
-	e.Tag("end")
-	return ckpt.Seal(CheckpointVersion, e.Bytes())
+	var c ckpt.Codec
+	info := CheckpointInfo{Config: p.cfg, Program: p.prog.Name, ProgramLen: p.prog.Len(),
+		ProgramHash: p.prog.Hash(), Cycle: p.cycle, Committed: p.Stats.Committed}
+	info.walk(&c)
+	p.walk(&c, base)
+	return ckpt.Seal(CheckpointVersion, c.Payload())
 }
 
-// sortU64 sorts in place (insertion for short, else a simple
-// bottom-up merge via the stdlib would pull in sort; the word-store
-// index is small, so insertion sort is fine and allocation-free).
-func sortU64(a []uint64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
+// openCheckpoint validates a checkpoint container and decodes its
+// identity prefix, returning the codec positioned after it.
+func openCheckpoint(data []byte) (*ckpt.Codec, CheckpointInfo, error) {
+	var info CheckpointInfo
+	payload, err := ckpt.Open(data, CheckpointVersion)
+	if err != nil {
+		return nil, info, err
 	}
+	c := ckpt.Decode(payload)
+	info.walk(c)
+	return c, info, c.Err()
 }
 
 // PeekCheckpoint decodes a checkpoint's identity prefix: configuration,
 // program name/hash, and progress counters.
 func PeekCheckpoint(data []byte) (CheckpointInfo, error) {
-	payload, err := ckpt.Open(data, CheckpointVersion)
+	_, info, err := openCheckpoint(data)
 	if err != nil {
-		return CheckpointInfo{}, err
-	}
-	d := ckpt.NewDecoder(payload)
-	d.Tag("proc")
-	info := CheckpointInfo{Config: loadConfig(d)}
-	d.Tag("prog")
-	info.Program = d.Str()
-	d.Int() // program length
-	info.ProgramHash = d.U64()
-	d.Tag("arch")
-	info.Cycle = d.U64()
-	info.Committed = d.U64()
-	if err := d.Err(); err != nil {
 		return CheckpointInfo{}, err
 	}
 	return info, nil
@@ -614,293 +539,37 @@ func RestoreCheckpoint(data []byte, prog *isa.Program, base *mem.Memory) (*Proc,
 }
 
 // restore is RestoreCheckpoint into an existing machine: a Reset to the
-// checkpoint's configuration, then the decode. A failed restore leaves
-// p unusable until its next Reset.
+// checkpoint's configuration, then the decoding walk. A failed restore
+// leaves p unusable until its next Reset.
 func (p *Proc) restore(data []byte, prog *isa.Program, base *mem.Memory) error {
-	payload, err := ckpt.Open(data, CheckpointVersion)
+	c, info, err := openCheckpoint(data)
 	if err != nil {
-		return err
-	}
-	d := ckpt.NewDecoder(payload)
-	d.Tag("proc")
-	cfg := loadConfig(d)
-
-	d.Tag("prog")
-	name := d.Str()
-	plen := d.Int()
-	phash := d.U64()
-	if err := d.Err(); err != nil {
 		return err
 	}
 	if prog == nil {
 		return fmt.Errorf("core: restore needs a program")
 	}
-	if prog.Name != name || prog.Len() != plen || prog.Hash() != phash {
+	if prog.Name != info.Program || prog.Len() != info.ProgramLen || prog.Hash() != info.ProgramHash {
 		return fmt.Errorf("core: checkpoint was taken over program %q (len %d, hash %016x), not the supplied %q (len %d, hash %016x)",
-			name, plen, phash, prog.Name, prog.Len(), prog.Hash())
+			info.Program, info.ProgramLen, info.ProgramHash, prog.Name, prog.Len(), prog.Hash())
 	}
+	cfg := info.Config
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("core: restore: %w", err)
 	}
-	if err := fitsPayload(&cfg, len(payload)); err != nil {
+	if err := FitsPayload(&cfg, len(c.Payload())); err != nil {
 		return fmt.Errorf("core: restore: %w", err)
 	}
 	if err := p.Reset(cfg, prog, mem.New()); err != nil {
 		return fmt.Errorf("core: restore: %w", err)
 	}
-
-	d.Tag("arch")
-	p.cycle = d.U64()
-	d.U64() // committed (peek duplicate; authoritative copy is in stats)
-	p.seq = d.U64()
-	p.halted = d.Bool()
-	for i := range p.arf {
-		p.arf[i] = d.U64()
-	}
-
-	p.mem = mem.LoadDelta(d, base)
-
-	d.Tag("rename")
-	for i := range p.ren {
-		loadRenEntry(d, &p.ren[i])
-	}
-	nlists := d.Count()
-	p.stridePC.lists = make([][maxStridedPCs]uint64, nlists)
-	for i := range p.stridePC.lists {
-		for j := range p.stridePC.lists[i] {
-			p.stridePC.lists[i][j] = d.U64()
-		}
-	}
-	nfree := d.Count()
-	p.stridePC.free = make([]int32, nfree)
-	for i := range p.stridePC.free {
-		p.stridePC.free[i] = int32(d.Int())
-	}
-
-	p.rf = regfile.LoadFile(d)
-	if d.Bool() {
-		p.sm = regfile.LoadSpecMem(d)
-	} else {
-		p.sm = nil
-	}
-
-	d.Tag("rob")
-	nrob := d.Int()
-	if d.Err() == nil && nrob != len(p.rob) {
-		d.Fail("ROB size mismatch: checkpoint %d, config %d", nrob, len(p.rob))
-	}
-	p.robHead = d.Int()
-	p.robTail = d.Int()
-	p.robCount = d.Int()
-	if d.Err() == nil {
-		for i := range p.rob {
-			p.loadROBEntry(d, &p.rob[i])
-		}
-	}
-
-	d.Tag("lsq")
-	nlsq := d.Count()
-	p.lsq = make([]int, nlsq)
-	for i := range p.lsq {
-		p.lsq[i] = d.Int()
-	}
-	nsu := d.Count()
-	p.storeUnknown = make([]uint64, nsu)
-	for i := range p.storeUnknown {
-		p.storeUnknown[i] = d.U64()
-	}
-	nwords := d.Count()
-	for i := 0; i < nwords; i++ {
-		k := d.U64()
-		nl := d.Count()
-		l := make([]int32, nl)
-		for j := range l {
-			l[j] = int32(d.Int())
-		}
-		p.wordStores[k] = l
-	}
-
-	d.Tag("fetch")
-	p.fetchPC = d.Int()
-	p.fetchHalted = d.Bool()
-	p.fetchStallUntil = d.U64()
-	nfq := d.Count()
-	p.fetchQ = make([]fetchedInstr, nfq)
-	p.fetchQHead = 0
-	for i := range p.fetchQ {
-		p.fetchQ[i].pc = d.Int()
-		p.fetchQ[i].predTaken = d.Bool()
-		p.fetchQ[i].histSnapshot = d.U64()
-		p.fetchQ[i].readyAt = d.U64()
-	}
-
-	p.hier.LoadState(d)
-	p.bp.LoadState(d)
-	p.mbs.LoadState(d)
-	p.sp.LoadState(d)
-
-	d.Tag("ci")
-	hasNRBQ := d.Bool()
-	if hasNRBQ != (p.nrbq != nil) {
-		d.Fail("NRBQ presence mismatch between checkpoint and configuration")
-	} else if p.nrbq != nil {
-		p.nrbq.LoadState(d)
-	}
-	p.crp.Valid = d.Bool()
-	p.crp.PC = d.Int()
-	p.crp.Reached = d.Bool()
-	p.crp.Mask = ci.RegMask(d.U64())
-	p.crp.Episode = d.U64()
-	p.episodeOpen = d.Bool()
-	p.episodeSelected = d.Bool()
-	p.episodeReused = d.Bool()
-	hasSRSMT := d.Bool()
-	if hasSRSMT != (p.srsmt != nil) {
-		d.Fail("SRSMT presence mismatch between checkpoint and configuration")
-	} else if p.srsmt != nil {
-		p.srsmt.LoadState(d)
-	}
-	p.entryStamp = d.U64()
-	nact := d.Count()
-	p.activeEntries = p.activeEntries[:0]
-	for i := 0; i < nact; i++ {
-		if ref, ok := p.loadEntryRef(d); ok {
-			p.activeEntries = append(p.activeEntries, ref)
-		}
-	}
-	nwatch := d.Count()
-	p.seedWatch = p.seedWatch[:0]
-	for i := 0; i < nwatch; i++ {
-		if ref, ok := p.loadEntryRef(d); ok {
-			p.seedWatch = append(p.seedWatch, ref)
-		}
-	}
-
-	d.Tag("ciiw")
-	niw := d.Count()
-	p.iwLive = 0
-	for i := 0; i < niw; i++ {
-		pc := d.Int()
-		head := d.Int()
-		nl := d.Count()
-		if d.Err() != nil {
-			break
-		}
-		if pc < 0 || pc >= len(p.iwTable) || head < 0 || head > nl {
-			d.Fail("squash-reuse PC %d or cursor %d outside the program or its %d records", pc, head, nl)
-			break
-		}
-		l := make([]iwReuse, nl)
-		for j := range l {
-			l[j].pc = d.Int()
-			l[j].seq = d.U64()
-			l[j].writerSeq[0] = d.U64()
-			l[j].writerSeq[1] = d.U64()
-			l[j].nsrc = d.Int()
-			l[j].value = d.U64()
-		}
-		p.iwTable[pc] = l
-		p.iwHead[pc] = head
-		p.iwPCs = append(p.iwPCs, pc)
-		p.iwLive += nl - head
-	}
-	nremap := d.Count()
-	p.iwRemapFrom = make([]uint64, nremap)
-	p.iwRemapTo = make([]uint64, nremap)
-	for i := 0; i < nremap; i++ {
-		p.iwRemapFrom[i] = d.U64()
-		p.iwRemapTo[i] = d.U64()
-	}
-	p.iwChainEpoch = d.U64()
-
-	d.Tag("sched")
-	p.waitQ = loadWaitList(d)
-	p.execQ = loadWaitList(d)
-	p.validPend = loadWaitList(d)
-	p.execMinDone = d.U64()
-	p.readyQ = loadWaitList(d)
-	// Park lists are per physical register, and every register costs
-	// the payload 10 bytes, so the table is at most twice that count
-	// plus the growth slack (parkOn).
-	maxRegs := len(payload) / 10
-	nwait := d.Int()
-	if d.Err() == nil && nwait > 2*maxRegs+64 {
-		d.Fail("park-list table of %d registers exceeds the %d-byte checkpoint", nwait, len(payload))
-	}
-	if d.Err() == nil && nwait >= 0 {
-		if nwait > len(p.regWaiters) {
-			// Unbounded register files grow the waiter table on demand;
-			// match the checkpointed size.
-			grown := make([][]waitRef, nwait)
-			copy(grown, p.regWaiters)
-			p.regWaiters = grown
-		}
-		nne := d.Count()
-		for i := 0; i < nne; i++ {
-			r := d.Int()
-			if d.Err() != nil {
-				break
-			}
-			if r < 0 || r >= len(p.regWaiters) {
-				d.Fail("park-list register %d out of range (%d)", r, len(p.regWaiters))
-				break
-			}
-			p.regWaiters[r] = loadWaitList(d)
-		}
-	}
-	p.schedStamp = d.U64()
-	p.lastNoIssue = d.Bool()
-	p.readyDirty = d.Bool()
-
-	d.Tag("wheel")
-	for i := range p.doneWheel {
-		nb := d.Count()
-		if nb == 0 {
-			p.doneWheel[i] = p.doneWheel[i][:0]
-			continue
-		}
-		b := p.doneWheel[i][:0]
-		for j := 0; j < nb; j++ {
-			if ref, ok := p.loadEntryRef(d); ok {
-				b = append(b, ref)
-			}
-		}
-		p.doneWheel[i] = b
-	}
-	for i := range p.wheelOcc {
-		p.wheelOcc[i] = d.U64()
-	}
-	p.ffJumps = d.U64()
-	p.ffSkipped = d.U64()
-
-	d.Tag("freed")
-	p.freedEpoch = d.U64()
-	p.freedCount = d.Int()
-	nfreed := d.Count()
-	for i := 0; i < nfreed; i++ {
-		r := d.Int()
-		if d.Err() != nil {
-			break
-		}
-		if r < 0 || r > maxRegs {
-			d.Fail("freed register %d out of range", r)
-			break
-		}
-		if r >= len(p.freedMark) {
-			grown := make([]uint64, r+64)
-			copy(grown, p.freedMark)
-			p.freedMark = grown
-		}
-		p.freedMark[r] = p.freedEpoch
-	}
-
-	p.loadStats(d)
-	d.Tag("end")
-	if err := d.Err(); err != nil {
+	p.cycle = info.Cycle
+	p.walk(c, base)
+	if err := c.Err(); err != nil {
 		return err
 	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("core: checkpoint payload has %d trailing bytes", d.Remaining())
+	if c.Remaining() != 0 {
+		return fmt.Errorf("core: checkpoint payload has %d trailing bytes", c.Remaining())
 	}
 	return p.checkRestored()
 }
@@ -920,8 +589,6 @@ func (p *Proc) checkRestored() error {
 	inProg := func(pc int) bool { return pc >= 0 && pc < nprog }
 	isReg := func(r int) bool { return r >= 0 && r < nregs }
 	check(p.cfg.PhysRegs == max(p.rf.Size(), 0), "register file of %d, configured %d", p.rf.Size(), p.cfg.PhysRegs)
-	check((p.sm != nil) == (p.cfg.Mode.Vectorizes() && p.cfg.SpecMemSize > 0) &&
-		(p.sm == nil || p.sm.Size() == p.cfg.SpecMemSize), "spec memory does not match the configuration")
 	check(p.robHead >= 0 && p.robHead < nrob && p.robCount >= 0 && p.robCount <= nrob &&
 		p.robTail == (p.robHead+p.robCount)%nrob, "ROB head %d, tail %d, count %d in %d entries", p.robHead, p.robTail, p.robCount, nrob)
 	check(inProg(p.fetchPC), "fetch PC %d outside the program", p.fetchPC)
@@ -1034,15 +701,17 @@ func (p *Proc) checkRestored() error {
 	return err
 }
 
-// fitsPayload rejects a checkpointed configuration whose machine the
+// FitsPayload rejects a checkpointed configuration whose machine the
 // payload cannot describe, before anything is sized from it: every
 // cache line, predictor entry, ROB entry, physical register, spec
 // memory position and wide-bus latch is encoded, at no fewer bytes
 // each than counted here, so a forged header cannot make a restore
 // allocate more than a small multiple of the file. The SRSMT and NRBQ
 // encode only live entries; their tables are capped outright, far
-// above any real geometry. c must have passed Validate.
-func fitsPayload(c *Config, n int) error {
+// above any real geometry. A sample-state file, which repeats the
+// predictors and caches in every record, is held to the same bound.
+// c must have passed Validate.
+func FitsPayload(c *Config, n int) error {
 	lines := 0
 	for _, l := range []cache.Config{c.Hier.L1I, c.Hier.L1D, c.Hier.L2, c.Hier.L3} {
 		if l.Sets() > n/l.Assoc {
@@ -1115,25 +784,31 @@ func (p *Proc) AdoptWarmState(g *bpred.Gshare, mbs *bpred.MBS, sp *stride.Predic
 	return nil
 }
 
+// WalkWarmState saves or loads the functionally-warmed structures —
+// gshare, MBS, stride, L1I, L1D, L2, L3, in that order — as a
+// sample-state record carries them.
+func WalkWarmState(c *ckpt.Codec, g *bpred.Gshare, mbs *bpred.MBS, sp *stride.Predictor, l1i, l1d, l2, l3 *cache.Cache) {
+	g.Walk(c)
+	mbs.Walk(c)
+	sp.Walk(c)
+	l1i.Walk(c)
+	l1d.Walk(c)
+	l2.Walk(c)
+	l3.Walk(c)
+}
+
 // LoadWarmState decodes functionally-warmed state straight into a
-// freshly built processor: the sections AdoptWarmState would copy —
-// gshare, MBS, stride, L1I, L1D, L2, L3 — in that order, as their
-// SaveState methods wrote them. It restores a captured sample without
-// a staging copy of the structures. Like AdoptWarmState it is only
-// legal before the first cycle; a decoding failure returns the
-// decoder's latched error.
-func (p *Proc) LoadWarmState(d *ckpt.Decoder) error {
+// freshly built processor: the structures AdoptWarmState would copy,
+// walked by WalkWarmState. It restores a captured sample without a
+// staging copy of the structures. Like AdoptWarmState it is only legal
+// before the first cycle; a decoding failure returns the codec's
+// latched error.
+func (p *Proc) LoadWarmState(c *ckpt.Codec) error {
 	if p.cycle != 0 || p.seq != 0 || p.Stats.Committed != 0 {
 		return fmt.Errorf("core: LoadWarmState on a processor that has already run (cycle %d)", p.cycle)
 	}
-	p.bp.LoadState(d)
-	p.mbs.LoadState(d)
-	p.sp.LoadState(d)
-	p.hier.L1I.LoadState(d)
-	p.hier.L1D.LoadState(d)
-	p.hier.L2.LoadState(d)
-	p.hier.L3.LoadState(d)
-	return d.Err()
+	WalkWarmState(c, p.bp, p.mbs, p.sp, p.hier.L1I, p.hier.L1D, p.hier.L2, p.hier.L3)
+	return c.Err()
 }
 
 // InstBytes scales instruction indices to byte addresses the way the
@@ -1151,8 +826,8 @@ func (p *Proc) SetArchState(regs [isa.NumLogical]uint64, pc int) error {
 	if p.cycle != 0 || p.seq != 0 || p.Stats.Committed != 0 {
 		return fmt.Errorf("core: SetArchState on a processor that has already run (cycle %d)", p.cycle)
 	}
-	if pc < 0 {
-		return fmt.Errorf("core: SetArchState with negative PC %d", pc)
+	if pc < 0 || pc >= p.prog.Len() {
+		return fmt.Errorf("core: SetArchState with PC %d outside the program (length %d)", pc, p.prog.Len())
 	}
 	p.arf = regs
 	for r := 0; r < isa.NumLogical; r++ {

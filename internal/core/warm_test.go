@@ -49,23 +49,23 @@ func TestAdoptWarmStateCopiesExactly(t *testing.T) {
 	if err := p.AdoptWarmState(g, mbs, sp, l1i, l1d, l2, nil); err != nil {
 		t.Fatal(err)
 	}
-	enc := func(save func(*ckpt.Encoder)) []byte {
-		var e ckpt.Encoder
-		save(&e)
-		return e.Bytes()
+	enc := func(walk func(*ckpt.Codec)) []byte {
+		var e ckpt.Codec
+		walk(&e)
+		return e.Payload()
 	}
 	cold := fresh()
 	for _, c := range []struct {
 		name      string
-		got, want func(*ckpt.Encoder)
+		got, want func(*ckpt.Codec)
 	}{
-		{"gshare", p.bp.SaveState, g.SaveState},
-		{"mbs", p.mbs.SaveState, mbs.SaveState},
-		{"stride", p.sp.SaveState, sp.SaveState},
-		{"l1i", p.hier.L1I.SaveState, l1i.SaveState},
-		{"l1d", p.hier.L1D.SaveState, l1d.SaveState},
-		{"l2", p.hier.L2.SaveState, l2.SaveState},
-		{"l3 (nil: stays cold)", p.hier.L3.SaveState, cold.hier.L3.SaveState},
+		{"gshare", p.bp.Walk, g.Walk},
+		{"mbs", p.mbs.Walk, mbs.Walk},
+		{"stride", p.sp.Walk, sp.Walk},
+		{"l1i", p.hier.L1I.Walk, l1i.Walk},
+		{"l1d", p.hier.L1D.Walk, l1d.Walk},
+		{"l2", p.hier.L2.Walk, l2.Walk},
+		{"l3 (nil: stays cold)", p.hier.L3.Walk, cold.hier.L3.Walk},
 	} {
 		if !bytes.Equal(enc(c.got), enc(c.want)) {
 			t.Errorf("%s: adopted state differs from its source", c.name)
@@ -122,45 +122,42 @@ func TestLoadWarmStateMatchesAdopt(t *testing.T) {
 		l2.Access(addr, false)
 		l3.Access(addr, rng.Intn(4) == 0)
 	}
-	var e ckpt.Encoder
-	for _, save := range []func(*ckpt.Encoder){g.SaveState, mbs.SaveState, sp.SaveState,
-		l1i.SaveState, l1d.SaveState, l2.SaveState, l3.SaveState} {
-		save(&e)
-	}
+	var e ckpt.Codec
+	WalkWarmState(&e, g, mbs, sp, l1i, l1d, l2, l3)
 
 	adopted := fresh()
 	if err := adopted.AdoptWarmState(g, mbs, sp, l1i, l1d, l2, l3); err != nil {
 		t.Fatal(err)
 	}
 	loaded := fresh()
-	d := ckpt.NewDecoder(e.Bytes())
+	d := ckpt.Decode(e.Payload())
 	if err := loaded.LoadWarmState(d); err != nil {
 		t.Fatal(err)
 	}
 	if d.Remaining() != 0 {
 		t.Errorf("LoadWarmState left %d bytes undecoded", d.Remaining())
 	}
-	var a, b ckpt.Encoder
-	adopted.hier.SaveState(&a)
-	loaded.hier.SaveState(&b)
+	var a, b ckpt.Codec
+	adopted.hier.Walk(&a)
+	loaded.hier.Walk(&b)
 	for _, p := range []struct {
 		p *Proc
-		e *ckpt.Encoder
+		e *ckpt.Codec
 	}{{adopted, &a}, {loaded, &b}} {
-		p.p.bp.SaveState(p.e)
-		p.p.mbs.SaveState(p.e)
-		p.p.sp.SaveState(p.e)
+		p.p.bp.Walk(p.e)
+		p.p.mbs.Walk(p.e)
+		p.p.sp.Walk(p.e)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(a.Payload(), b.Payload()) {
 		t.Error("loaded warm state differs from adopted warm state")
 	}
 
-	d = ckpt.NewDecoder(e.Bytes()[:e.Len()-5])
+	d = ckpt.Decode(e.Payload()[:len(e.Payload())-5])
 	if err := fresh().LoadWarmState(d); err == nil || !strings.Contains(err.Error(), "payload truncated") {
 		t.Errorf("truncated warm state: err = %v, want truncation", err)
 	}
 	loaded.Step()
-	if err := loaded.LoadWarmState(ckpt.NewDecoder(e.Bytes())); err == nil {
+	if err := loaded.LoadWarmState(ckpt.Decode(e.Payload())); err == nil {
 		t.Error("LoadWarmState after the first cycle succeeded")
 	}
 }

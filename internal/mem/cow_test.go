@@ -86,9 +86,9 @@ func TestCopyOnWriteMatchesDeepCopy(t *testing.T) {
 			case op == 1 && rng.Intn(4) == 0:
 				mems[i].Freeze()
 			case op == 2:
-				var e ckpt.Encoder
+				var e ckpt.Codec
 				mems[i].SaveDelta(&e, base)
-				d := ckpt.NewDecoder(e.Bytes())
+				d := ckpt.Decode(e.Payload())
 				back := LoadDelta(d, base)
 				if err := d.Err(); err != nil || d.Remaining() != 0 {
 					t.Fatalf("seed %d step %d: LoadDelta(SaveDelta(memory %d)): err %v, %d bytes left", seed, step, i, err, d.Remaining())
@@ -158,15 +158,15 @@ func TestSaveDeltaSharedPagesDifferential(t *testing.T) {
 			}
 		}
 		enc := func(mm *Memory) []byte {
-			var e ckpt.Encoder
+			var e ckpt.Codec
 			mm.SaveDelta(&e, base)
-			return e.Bytes()
+			return e.Payload()
 		}
 		got, want := enc(m), enc(deep)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: SaveDelta of a copy-on-write clone (%d bytes) differs from a deep copy's (%d bytes)", seed, len(got), len(want))
 		}
-		d := ckpt.NewDecoder(got)
+		d := ckpt.Decode(got)
 		back := LoadDelta(d, base)
 		if err := d.Err(); err != nil || d.Remaining() != 0 {
 			t.Fatalf("seed %d: LoadDelta: err %v, %d bytes left", seed, err, d.Remaining())

@@ -10,41 +10,54 @@ import (
 
 // deltaRecord appends one page record to a hand-built LoadDelta
 // payload.
-type deltaRecord func(e *ckpt.Encoder)
+type deltaRecord func(e *ckpt.Codec)
+
+// put encodes the values a hand-built payload holds, each at its own
+// width.
+func put(e *ckpt.Codec, vals ...any) {
+	for _, v := range vals {
+		switch v := v.(type) {
+		case uint64:
+			e.U64(&v)
+		case uint32:
+			e.U32(&v)
+		case uint8:
+			e.U8(&v)
+		case int:
+			e.Int(&v)
+		}
+	}
+}
 
 // sparseRecord is a mode-0 page record; diffs are (word index, value)
 // pairs, written in the order given.
 func sparseRecord(key uint64, diffs ...[2]uint64) deltaRecord {
-	return func(e *ckpt.Encoder) {
-		e.U64(key)
-		e.U8(0)
-		e.Int(len(diffs))
+	return func(e *ckpt.Codec) {
+		put(e, key, uint8(0), len(diffs))
 		for _, d := range diffs {
-			e.U32(uint32(d[0]))
-			e.U64(d[1])
+			put(e, uint32(d[0]), d[1])
 		}
 	}
 }
 
 // rawRecord is a mode-1 page record whose word i is word(i).
 func rawRecord(key uint64, word func(i int) uint64) deltaRecord {
-	return func(e *ckpt.Encoder) {
-		e.U64(key)
-		e.U8(1)
+	return func(e *ckpt.Codec) {
+		put(e, key, uint8(1))
 		for i := 0; i < pageWords; i++ {
-			e.U64(word(i))
+			put(e, word(i))
 		}
 	}
 }
 
 func deltaPayload(recs ...deltaRecord) []byte {
-	var e ckpt.Encoder
+	var e ckpt.Codec
 	e.Tag("mem")
-	e.Int(len(recs))
+	put(&e, len(recs))
 	for _, r := range recs {
 		r(&e)
 	}
-	return e.Bytes()
+	return e.Payload()
 }
 
 // TestLoadDeltaRejectsNonCanonical: LoadDelta decodes untrusted bytes
@@ -88,11 +101,11 @@ func TestLoadDeltaRejectsNonCanonical(t *testing.T) {
 			}
 			return firstN(rawPageThreshold)(i)
 		}))},
-		{"unknown page mode", nil, deltaPayload(func(e *ckpt.Encoder) { e.U64(1); e.U8(2) })},
+		{"unknown page mode", nil, deltaPayload(func(e *ckpt.Codec) { put(e, uint64(1), uint8(2)) })},
 	}
 
 	for _, c := range cases {
-		d := ckpt.NewDecoder(c.data)
+		d := ckpt.Decode(c.data)
 		LoadDelta(d, c.base)
 		if d.Err() == nil {
 			t.Errorf("%s: LoadDelta accepted a non-canonical payload", c.name)
@@ -103,7 +116,7 @@ func TestLoadDeltaRejectsNonCanonical(t *testing.T) {
 		deltaPayload(sparseRecord(1, [2]uint64{0, 1}), sparseRecord(2, [2]uint64{2, 1}, [2]uint64{3, 1})),
 		deltaPayload(rawRecord(1, firstN(rawPageThreshold+1))),
 	} {
-		d := ckpt.NewDecoder(data)
+		d := ckpt.Decode(data)
 		LoadDelta(d, nil)
 		if err := d.Err(); err != nil {
 			t.Errorf("canonical payload rejected: %v", err)
@@ -124,7 +137,7 @@ func TestLoadDeltaEmptyRecordFloodBounded(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	d := ckpt.NewDecoder(data)
+	d := ckpt.Decode(data)
 	LoadDelta(d, nil)
 	runtime.ReadMemStats(&after)
 	if d.Err() == nil {
@@ -155,9 +168,9 @@ func fuzzImage() *Memory {
 func FuzzLoadDelta(f *testing.F) {
 	image := fuzzImage()
 	encode := func(m, base *Memory) []byte {
-		var e ckpt.Encoder
+		var e ckpt.Codec
 		m.SaveDelta(&e, base)
-		return e.Bytes()
+		return e.Payload()
 	}
 	sparse := New()
 	for k := uint64(0); k < 5; k++ {
@@ -199,7 +212,7 @@ func FuzzLoadDelta(f *testing.F) {
 		if useImage {
 			base = image
 		}
-		d := ckpt.NewDecoder(data)
+		d := ckpt.Decode(data)
 		m := LoadDelta(d, base)
 		if d.Err() != nil {
 			return

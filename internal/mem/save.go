@@ -28,7 +28,7 @@ var zeroPage page
 // with base (the same page pointer, never written since the clone) has no
 // deltas by construction and is skipped without a scan, so the cost is
 // proportional to the pages m has written, not to the image.
-func (m *Memory) SaveDelta(e *ckpt.Encoder, base *Memory) {
+func (m *Memory) SaveDelta(e *ckpt.Codec, base *Memory) {
 	e.Tag("mem")
 
 	keys := make([]uint64, 0, len(m.pages))
@@ -80,21 +80,26 @@ func (m *Memory) SaveDelta(e *ckpt.Encoder, base *Memory) {
 		}
 	}
 
-	e.Int(len(diffs))
+	n := len(diffs)
+	e.Int(&n)
 	for _, pd := range diffs {
-		e.U64(pd.key)
+		e.U64(&pd.key)
 		if len(pd.idxs) > rawPageThreshold {
-			e.U8(1) // raw page
+			mode := uint8(1) // raw page
+			e.U8(&mode)
 			for i := range pd.page {
-				e.U64(pd.page[i])
+				e.U64(&pd.page[i])
 			}
 			continue
 		}
-		e.U8(0) // sparse diffs
-		e.Int(len(pd.idxs))
+		var mode uint8 // sparse diffs
+		e.U8(&mode)
+		n := len(pd.idxs)
+		e.Int(&n)
 		for _, i := range pd.idxs {
-			e.U32(uint32(i))
-			e.U64(pd.page[i])
+			idx := uint32(i)
+			e.U32(&idx)
+			e.U64(&pd.page[i])
 		}
 	}
 }
@@ -109,7 +114,7 @@ func (m *Memory) SaveDelta(e *ckpt.Encoder, base *Memory) {
 // rawPageThreshold words. Every page record therefore changes a page
 // exactly once, and an accepted payload re-encodes to the same bytes.
 // Errors latch in d.
-func LoadDelta(d *ckpt.Decoder, base *Memory) *Memory {
+func LoadDelta(d *ckpt.Codec, base *Memory) *Memory {
 	d.Tag("mem")
 	var m *Memory
 	if base != nil {
@@ -117,11 +122,14 @@ func LoadDelta(d *ckpt.Decoder, base *Memory) *Memory {
 	} else {
 		m = New()
 	}
-	npages := d.Count()
+	var npages int
+	d.Count(&npages)
 	var prev uint64
 	for p := 0; p < npages; p++ {
-		key := d.U64()
-		mode := d.U8()
+		var key uint64
+		var mode uint8
+		d.U64(&key)
+		d.U8(&mode)
 		if d.Err() != nil {
 			return m
 		}
@@ -154,7 +162,8 @@ func LoadDelta(d *ckpt.Decoder, base *Memory) *Memory {
 			}
 			m.install(key, pg)
 		case 0:
-			ndiff := d.Count()
+			var ndiff int
+			d.Count(&ndiff)
 			if ndiff < 1 || ndiff > rawPageThreshold {
 				d.Fail("sparse memory page %#x has %d diffs, want 1..%d", key, ndiff, rawPageThreshold)
 				return m
@@ -162,8 +171,10 @@ func LoadDelta(d *ckpt.Decoder, base *Memory) *Memory {
 			pg := m.own(key, shared)
 			next := uint32(0) // lowest index the next diff may take
 			for j := 0; j < ndiff; j++ {
-				i := d.U32()
-				v := d.U64()
+				var i uint32
+				var v uint64
+				d.U32(&i)
+				d.U64(&v)
 				if d.Err() != nil {
 					return m
 				}

@@ -205,21 +205,17 @@ func TestHelperPanicKeepsItsStack(t *testing.T) {
 // claims more samples than its payload can hold (32 bytes each) is
 // rejected without allocating for the claimed count.
 func TestPeekStateRejectsOversizedPlan(t *testing.T) {
-	cfg := core.DefaultConfig(core.ModeCI)
-	var e ckpt.Encoder
-	e.Tag("sample-state")
-	core.SaveConfigState(&e, &cfg)
-	e.Tag("prog")
-	e.Str("gcc")
-	e.Int(1)
-	e.U64(0)
-	e.Tag("plan")
-	e.U64(4_000)
-	e.U64(1 << 30)
-	e.Int(8)
-	e.U64(1_000)
-	e.Int(4 << 20)
-	data := ckpt.Seal(StateVersion, append(e.Bytes(), make([]byte, 4<<20)...))
+	var e ckpt.Codec
+	info := StateInfo{Config: core.DefaultConfig(core.ModeCI), Program: "gcc", ProgramLen: 1,
+		Plan: Plan{IntervalLen: 4_000, TotalInstr: 1 << 30, K: 8}, Warmup: 1_000}
+	info.walk(&e)
+	// Replace the encoded sample count (the header's last 8 bytes, zero
+	// samples) with the claim.
+	header := e.Payload()[:len(e.Payload())-8]
+	claim := 4 << 20
+	e = ckpt.Codec{}
+	e.Int(&claim)
+	data := ckpt.Seal(StateVersion, append(append(header, e.Payload()...), make([]byte, 4<<20)...))
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

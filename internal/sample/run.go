@@ -188,16 +188,19 @@ func warmStart(s PlanSample, warmup uint64) uint64 {
 // machines go back to the pool when measureAll returns. Each result
 // lands in its plan slot and stitching runs over the slots in plan
 // order, so the Estimate depends neither on the worker count nor on
-// which machine measured what. The first error (build errors arise in
-// plan order; ctx is checked between samples) stops production, and
-// measureAll returns it once the samples in flight finish. A panic in
-// a helper is re-raised here after they do, as a measurePanic carrying
-// the helper's stack.
+// which machine measured what. A build error or a cancelled ctx
+// (checked between samples) stops production; once the samples in
+// flight finish, measureAll returns the error of the earliest sample in
+// plan order, whether its build or its measurement failed, so the error
+// does not depend on the worker count either. A panic in a helper is
+// re-raised here after they do, as a measurePanic carrying the
+// helper's stack.
 func measureAll(ctx context.Context, total uint64, samples []PlanSample, warmup uint64, slots Slots, build func(s PlanSample, warmupInstr uint64, proc *core.Proc) error) (*Estimate, error) {
 	slots = slots.orPrivate()
 	est := &Estimate{TotalInstr: total, Samples: make([]SampleResult, len(samples))}
 	detailed := make([]uint64, len(samples))
 	panics := make([]*measurePanic, len(samples))
+	errs := make([]error, len(samples))
 	// free holds the machines this run has and is not stepping: its
 	// own plus at most every machine of the pool.
 	free := make(chan *core.Proc, 1+cap(slots.Idle))
@@ -209,7 +212,6 @@ func measureAll(ctx context.Context, total uint64, samples []PlanSample, warmup 
 		}
 	}()
 	var wg sync.WaitGroup
-	var err error
 	for i, s := range samples {
 		var proc *core.Proc
 		select {
@@ -222,11 +224,11 @@ func measureAll(ctx context.Context, total uint64, samples []PlanSample, warmup 
 				proc = <-free
 			}
 		}
-		if err = ctx.Err(); err != nil {
+		if errs[i] = ctx.Err(); errs[i] != nil {
 			break
 		}
 		warmupInstr := s.Start - warmStart(s, warmup)
-		if err = build(s, warmupInstr, proc); err != nil {
+		if errs[i] = build(s, warmupInstr, proc); errs[i] != nil {
 			break
 		}
 		wg.Add(1)
@@ -244,7 +246,7 @@ func measureAll(ctx context.Context, total uint64, samples []PlanSample, warmup 
 			if measureHook != nil {
 				measureHook(+1)
 			}
-			est.Samples[i], detailed[i] = measure(proc, s, warmupInstr)
+			est.Samples[i], detailed[i], errs[i] = measure(proc, s, warmupInstr)
 		}()
 	}
 	wg.Wait()
@@ -253,8 +255,10 @@ func measureAll(ctx context.Context, total uint64, samples []PlanSample, warmup 
 			panic(p)
 		}
 	}
-	if err != nil {
-		return nil, err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	for _, n := range detailed {
 		est.DetailedInstr += n
@@ -295,19 +299,18 @@ func resetMachine(proc *core.Proc, prog *isa.Program, cfg core.Config, s PlanSam
 
 // measure is the run step: it steps a built machine through the
 // unmeasured detailed warmup and the sample interval and returns the
-// measurement plus the detailed instruction count spent. Live and
+// measurement plus the detailed instruction count spent, or the error
+// that stopped the machine (a fault, or the watchdog of a machine that
+// stopped committing). Live and
 // restored machines run through it alike, so the two paths produce
 // identical results.
-func measure(proc *core.Proc, s PlanSample, warmupInstr uint64) (SampleResult, uint64) {
-	for !proc.Halted() && proc.Stats.Committed < warmupInstr {
-		proc.Step()
+func measure(proc *core.Proc, s PlanSample, warmupInstr uint64) (SampleResult, uint64, error) {
+	if err := proc.RunTo(warmupInstr); err != nil {
+		return SampleResult{}, 0, err
 	}
 	warm := proc.Snapshot()
-	for !proc.Halted() && proc.Stats.Committed < warmupInstr+s.Len {
-		proc.Step()
-	}
-	if err := proc.Err(); err != nil {
-		panic(err) // machines built from live or captured state: a simulator bug
+	if err := proc.RunTo(warmupInstr + s.Len); err != nil {
+		return SampleResult{}, 0, err
 	}
 	end := proc.Snapshot()
 
@@ -320,7 +323,7 @@ func measure(proc *core.Proc, s PlanSample, warmupInstr uint64) (SampleResult, u
 		MeasuredInstr: instr,
 		Cycles:        cycles,
 		Metrics:       metrics,
-	}, end.Committed
+	}, end.Committed, nil
 }
 
 // stitch combines the per-sample metrics into weighted whole-run

@@ -30,7 +30,9 @@ import (
 // same pipeline (measureAll, resetMachine, measure); where Run copies
 // the live warmer into each machine (core.AdoptWarmState),
 // RunFromState decodes the captured structures straight into it
-// (core.LoadWarmState).
+// (core.LoadWarmState). Capture and restore walk each record with the
+// same functions (walkSample, core.WalkWarmState), so the two cannot
+// disagree on its layout.
 
 // StateVersion is the CIVK payload version for sample-state files. The
 // CIVK version space is shared across payload kinds — 1 is the
@@ -43,13 +45,75 @@ const StateVersion = 2
 type StateInfo struct {
 	Config  core.Config
 	Program string
-	// ProgramHash guards restoration against a different program under
-	// the same name.
+	// ProgramLen and ProgramHash guard restoration against a different
+	// program under the same name.
+	ProgramLen  int
 	ProgramHash uint64
 	// Plan mirrors the captured plan's geometry; Warmup the detailed
 	// warmup the capture assumed.
 	Plan   Plan
 	Warmup uint64
+}
+
+// planRecordBytes is the encoded size of one PlanSample.
+const planRecordBytes = 32
+
+// walk saves or loads the header: configuration, program identity and
+// plan. A load rejects a configuration whose machine the payload could
+// not describe, and a plan BuildPlan cannot produce: a weight outside
+// (0, 1], an empty sample, starts that do not strictly ascend, or a
+// sample past the stream's end.
+func (info *StateInfo) walk(c *ckpt.Codec) {
+	c.Tag("sample-state")
+	core.WalkConfig(c, &info.Config)
+	c.Tag("prog")
+	c.Str(&info.Program)
+	c.Int(&info.ProgramLen)
+	c.U64(&info.ProgramHash)
+	c.Tag("plan")
+	pl := &info.Plan
+	c.U64(&pl.IntervalLen)
+	c.U64(&pl.TotalInstr)
+	c.Int(&pl.K)
+	c.U64(&info.Warmup)
+	n := len(pl.Samples)
+	c.Count(&n)
+	if c.Decoding() {
+		// A count the payload cannot hold is rejected before it sizes
+		// anything.
+		if n > c.Remaining()/planRecordBytes {
+			c.Fail("plan of %d samples exceeds the %d bytes remaining", n, c.Remaining())
+			return
+		}
+		pl.Samples = make([]PlanSample, n)
+	}
+	for i := range pl.Samples {
+		s := &pl.Samples[i]
+		c.Int(&s.Interval)
+		c.U64(&s.Start)
+		c.U64(&s.Len)
+		c.F64(&s.Weight)
+		if !c.Decoding() || c.Err() != nil {
+			continue
+		}
+		switch {
+		case !(s.Weight > 0 && s.Weight <= 1):
+			c.Fail("sample %d weight %v outside (0, 1]", i, s.Weight)
+		case s.Len == 0 || s.Len > pl.TotalInstr || s.Start > pl.TotalInstr-s.Len:
+			c.Fail("sample %d [%d, +%d) empty or past the stream's %d instructions", i, s.Start, s.Len, pl.TotalInstr)
+		case i > 0 && s.Start <= pl.Samples[i-1].Start:
+			c.Fail("sample %d start %d does not follow %d", i, s.Start, pl.Samples[i-1].Start)
+		}
+	}
+	if c.Decoding() && c.Err() == nil {
+		err := info.Config.Validate()
+		if err == nil {
+			err = core.FitsPayload(&info.Config, len(c.Payload()))
+		}
+		if err != nil {
+			c.Fail("sample-state configuration: %v", err)
+		}
+	}
 }
 
 // CaptureState runs the full-stream warming pass once and serializes
@@ -68,26 +132,10 @@ func CaptureState(ctx context.Context, plan *Plan, prog *isa.Program, image *mem
 	cpu := emu.New(m)
 	w := newWarmer(&cfg)
 
-	var e ckpt.Encoder
-	e.Tag("sample-state")
-	core.SaveConfigState(&e, &cfg)
-	e.Tag("prog")
-	e.Str(prog.Name)
-	e.Int(prog.Len())
-	e.U64(core.HashProgram(prog))
-	e.Tag("plan")
-	e.U64(plan.IntervalLen)
-	e.U64(plan.TotalInstr)
-	e.Int(plan.K)
-	e.U64(warmup)
-	e.Int(len(plan.Samples))
-	for _, s := range plan.Samples {
-		e.Int(s.Interval)
-		e.U64(s.Start)
-		e.U64(s.Len)
-		e.F64(s.Weight)
-	}
-
+	var c ckpt.Codec
+	info := StateInfo{Config: cfg, Program: prog.Name, ProgramLen: prog.Len(),
+		ProgramHash: prog.Hash(), Plan: *plan, Warmup: warmup}
+	info.walk(&c)
 	for _, s := range plan.Samples {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -95,25 +143,25 @@ func CaptureState(ctx context.Context, plan *Plan, prog *isa.Program, image *mem
 		if err := w.warmTo(cpu, prog, warmStart(s, warmup), s.Start); err != nil {
 			return nil, err
 		}
-		e.Tag("sample")
-		e.Int(cpu.PC)
-		for _, r := range cpu.Regs {
-			e.U64(r)
-		}
-		mm := cpu.Mem
-		if mm == nil {
-			mm = mem.New()
-		}
-		mm.SaveDelta(&e, image)
-		w.g.SaveState(&e)
-		w.mbs.SaveState(&e)
-		w.sp.SaveState(&e)
-		w.l1i.SaveState(&e)
-		w.l1d.SaveState(&e)
-		w.l2.SaveState(&e)
-		w.l3.SaveState(&e)
+		walkSample(&c, &cpu.PC, &cpu.Regs, &cpu.Mem, image)
+		core.WalkWarmState(&c, w.g, w.mbs, w.sp, w.l1i, w.l1d, w.l2, w.l3)
 	}
-	return ckpt.Seal(StateVersion, e.Bytes()), nil
+	return ckpt.Seal(StateVersion, c.Payload()), nil
+}
+
+// walkSample saves or loads the architectural half of a sample record:
+// the PC, the registers and the memory image as deltas against base.
+func walkSample(c *ckpt.Codec, pc *int, regs *[isa.NumLogical]uint64, m **mem.Memory, base *mem.Memory) {
+	c.Tag("sample")
+	c.Int(pc)
+	for i := range regs {
+		c.U64(&regs[i])
+	}
+	if c.Decoding() {
+		*m = mem.LoadDelta(c, base)
+	} else {
+		(*m).SaveDelta(c, base)
+	}
 }
 
 // WriteStateFile atomically persists a captured state container
@@ -123,43 +171,18 @@ func WriteStateFile(path string, data []byte) error { return ckpt.WriteFile(path
 
 // decodeHeader validates the container and decodes everything up to the
 // first per-sample record.
-func decodeHeader(data []byte) (*ckpt.Decoder, StateInfo, error) {
+func decodeHeader(data []byte) (*ckpt.Codec, StateInfo, error) {
+	var info StateInfo
 	payload, err := ckpt.Open(data, StateVersion)
 	if err != nil {
+		return nil, info, err
+	}
+	c := ckpt.Decode(payload)
+	info.walk(c)
+	if err := c.Err(); err != nil {
 		return nil, StateInfo{}, err
 	}
-	d := ckpt.NewDecoder(payload)
-	d.Tag("sample-state")
-	var info StateInfo
-	info.Config = core.LoadConfigState(d)
-	d.Tag("prog")
-	info.Program = d.Str()
-	d.Int() // program length (re-checked against the supplied program)
-	info.ProgramHash = d.U64()
-	d.Tag("plan")
-	info.Plan.IntervalLen = d.U64()
-	info.Plan.TotalInstr = d.U64()
-	info.Plan.K = d.Int()
-	info.Warmup = d.U64()
-	// Each plan record is 32 bytes; a count the payload cannot hold is
-	// rejected before it sizes anything.
-	const planRecordBytes = 32
-	n := d.Count()
-	if n > d.Remaining()/planRecordBytes {
-		d.Fail("plan of %d samples exceeds the %d bytes remaining", n, d.Remaining())
-	}
-	for i := 0; i < n && d.Err() == nil; i++ {
-		info.Plan.Samples = append(info.Plan.Samples, PlanSample{
-			Interval: d.Int(),
-			Start:    d.U64(),
-			Len:      d.U64(),
-			Weight:   d.F64(),
-		})
-	}
-	if err := d.Err(); err != nil {
-		return nil, StateInfo{}, err
-	}
-	return d, info, nil
+	return c, info, nil
 }
 
 // PeekState decodes a sample-state file's header without touching the
@@ -176,39 +199,36 @@ func PeekState(data []byte) (StateInfo, error) {
 // workload the state was captured over (verified by name, length and
 // program hash; the memory deltas rebuild against image).
 func RunFromState(ctx context.Context, data []byte, prog *isa.Program, image *mem.Memory) (*Estimate, error) {
-	d, info, err := decodeHeader(data)
+	c, info, err := decodeHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	if prog.Name != info.Program || core.HashProgram(prog) != info.ProgramHash {
-		return nil, fmt.Errorf("sample: state was captured over program %q (hash %016x), not the supplied %q (hash %016x)",
-			info.Program, info.ProgramHash, prog.Name, core.HashProgram(prog))
+	if prog.Name != info.Program || prog.Len() != info.ProgramLen || prog.Hash() != info.ProgramHash {
+		return nil, fmt.Errorf("sample: state was captured over program %q (len %d, hash %016x), not the supplied %q (len %d, hash %016x)",
+			info.Program, info.ProgramLen, info.ProgramHash, prog.Name, prog.Len(), prog.Hash())
 	}
 	if _, err := prog.Decode(); err != nil {
 		return nil, err
 	}
 
 	est, err := measureAll(ctx, info.Plan.TotalInstr, info.Plan.Samples, info.Warmup, Slots{}, func(s PlanSample, warmupInstr uint64, proc *core.Proc) error {
-		d.Tag("sample")
-		pc := d.Int()
+		var pc int
 		var regs [isa.NumLogical]uint64
-		for i := range regs {
-			regs[i] = d.U64()
-		}
-		m := mem.LoadDelta(d, image)
-		if err := d.Err(); err != nil {
+		var m *mem.Memory
+		walkSample(c, &pc, &regs, &m, image)
+		if err := c.Err(); err != nil {
 			return err
 		}
 		if err := resetMachine(proc, prog, info.Config, s, warmupInstr, m, regs, pc); err != nil {
 			return err
 		}
-		return proc.LoadWarmState(d)
+		return proc.LoadWarmState(c)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("sample: state file has %d trailing bytes", d.Remaining())
+	if c.Remaining() != 0 {
+		return nil, fmt.Errorf("sample: state file has %d trailing bytes", c.Remaining())
 	}
 	return est, nil
 }
