@@ -74,6 +74,16 @@ func formOf(op isa.Op) form {
 // the PC the next instruction gets.
 func (b *Builder) Len() int { return len(b.code) }
 
+// Grow reserves room for instrs more instructions and for labels more
+// labels and label references, so a build of known size does not grow
+// its buffers append by append. A build that encodes exactly the
+// instructions reserved hands its code to Program without a copy.
+func (b *Builder) Grow(instrs, labels int) {
+	b.code = slices.Grow(b.code, instrs)
+	b.labels = slices.Grow(b.labels, labels)
+	b.fixups = slices.Grow(b.fixups, labels)
+}
+
 // NewLabel returns a fresh, unbound label.
 func (b *Builder) NewLabel() Label {
 	b.labels = append(b.labels, labelPos{})
@@ -170,8 +180,12 @@ func (b *Builder) Program(name string) (*isa.Program, error) {
 		b.code[f.pc].Target = pos.pc
 	}
 	// The program keeps its code for as long as it runs: hand it over
-	// without the append slack.
-	p := &isa.Program{Name: name, Code: slices.Clone(b.code)}
+	// without the append slack, copying only when there is some.
+	code := b.code
+	if cap(code) != len(code) {
+		code = slices.Clone(code)
+	}
+	p := &isa.Program{Name: name, Code: code}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

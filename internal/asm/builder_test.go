@@ -61,6 +61,42 @@ join:   add  r4, r4, r0
 	}
 }
 
+// TestBuilderGrow: a build into exactly the reserved room hands its
+// buffer to the program uncopied; a build with slack left gets a copy
+// without it. Either way the program is the one an unreserved build
+// makes.
+func TestBuilderGrow(t *testing.T) {
+	build := func(b *Builder) {
+		l := b.NewLabel()
+		b.Bind(l)
+		b.OpI(isa.OpSubI, 1, 1, 1)
+		b.Branch(isa.OpBNEZ, 1, l)
+		b.Halt()
+	}
+	var plain Builder
+	build(&plain)
+	want, err := plain.Program("loop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, reserve := range []int{3, 64} {
+		var b Builder
+		b.Grow(reserve, 1)
+		buf := b.code[:reserve]
+		build(&b)
+		got, err := b.Program("loop")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Hash() != want.Hash() {
+			t.Errorf("reserve %d: program differs from the unreserved build", reserve)
+		}
+		if shared := &got.Code[0] == &buf[0]; shared != (reserve == want.Len()) {
+			t.Errorf("reserve %d: code shared with the build buffer = %v for %d instructions", reserve, shared, want.Len())
+		}
+	}
+}
+
 func TestBuilderNumericTarget(t *testing.T) {
 	var b Builder
 	b.Branch(isa.OpBEQZ, 1, b.Abs(2))

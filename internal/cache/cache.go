@@ -166,6 +166,29 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, lat int) {
 	return false, c.cfg.HitLat + c.cfg.MissLat
 }
 
+// RepeatHits records n more read hits on the line holding addr, which
+// must be present: clock, statistics and the line's LRU stamp end
+// where n Access(addr, false) calls would leave them. So a run of k
+// reads of one line, with no other access to c between them, is one
+// Access followed by RepeatHits(addr, k-1).
+func (c *Cache) RepeatHits(addr uint64, n uint64) {
+	if n == 0 {
+		return
+	}
+	set, tag := c.index(addr)
+	lines := c.set(set)
+	for i := range lines {
+		if lines[i].valid && lines[i].tag == tag {
+			c.clock += n
+			c.Stats.Accesses += n
+			c.Stats.Hits += n
+			lines[i].lru = c.clock
+			return
+		}
+	}
+	panic("cache: RepeatHits on a line that is not present")
+}
+
 // LineAddr returns the address of the first byte of the line holding addr.
 func (c *Cache) LineAddr(addr uint64) uint64 {
 	return addr &^ (uint64(c.cfg.LineBytes) - 1)

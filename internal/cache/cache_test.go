@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -112,6 +113,45 @@ func TestLineAddr(t *testing.T) {
 	if got := c.LineAddr(0x1037); got != 0x1020 {
 		t.Errorf("LineAddr = %#x, want 0x1020", got)
 	}
+}
+
+// TestRepeatHitsMatchesAccesses: replaying a stream as runs of
+// same-line reads, each one Access plus RepeatHits for the rest of the
+// run, leaves lines, clock and statistics exactly as one Access per
+// read does. Writes between the runs keep dirty lines in play.
+func TestRepeatHitsMatchesAccesses(t *testing.T) {
+	f := func(addrs []uint16, runs []uint8) bool {
+		each, batched := New(small()), New(small())
+		for i, a := range addrs {
+			write := a%5 == 0
+			k := 1
+			if i < len(runs) {
+				k += int(runs[i] % 8)
+			}
+			for range k {
+				each.Access(uint64(a), write)
+				write = false
+			}
+			batched.Access(uint64(a), a%5 == 0)
+			// Any address of the line names it.
+			batched.RepeatHits(batched.LineAddr(uint64(a)), uint64(k-1))
+		}
+		return reflect.DeepEqual(each, batched)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestRepeatHitsOnAbsentLinePanics(t *testing.T) {
+	c := New(small())
+	c.RepeatHits(0x1000, 0) // no hits: nothing to find
+	defer func() {
+		if recover() == nil {
+			t.Error("RepeatHits on an absent line did not panic")
+		}
+	}()
+	c.RepeatHits(0x1000, 1)
 }
 
 // Property: hits + misses == accesses, and re-accessing the same address

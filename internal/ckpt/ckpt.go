@@ -27,6 +27,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // Magic identifies a CIVK checkpoint container.
@@ -55,6 +56,15 @@ type Codec struct {
 
 // Decode returns a codec that decodes payload.
 func Decode(payload []byte) *Codec { return &Codec{buf: payload, dec: true} }
+
+// Grow reserves room for n more encoded bytes, so an encoding whose
+// size is known ahead does not grow the payload append by append. It
+// does not change what is encoded.
+func (c *Codec) Grow(n int) {
+	if !c.dec && n > 0 {
+		c.buf = slices.Grow(c.buf, n)
+	}
+}
 
 // Decoding reports the walk's direction.
 func (c *Codec) Decoding() bool { return c.dec }

@@ -78,6 +78,32 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGrow: reserving room changes no encoded byte and makes the
+// reserved appends allocation-free; a decoder ignores it.
+func TestGrow(t *testing.T) {
+	var c Codec
+	r := want
+	r.walk(&c)
+	one := len(c.Payload())
+	// AllocsPerRun walks twice: once to warm up, once measured.
+	c.Grow(2 * one)
+	if allocs := testing.AllocsPerRun(1, func() {
+		r := want
+		r.walk(&c)
+	}); allocs != 0 {
+		t.Errorf("walking into reserved room allocated %.0f times", allocs)
+	}
+	if want := bytes.Repeat(samplePayload(t), 3); !bytes.Equal(c.Payload(), want) {
+		t.Error("Grow changed the encoding")
+	}
+	p := samplePayload(t)
+	d := Decode(p[:len(p):len(p)])
+	d.Grow(1 << 20)
+	if cap(d.Payload()) != len(p) {
+		t.Error("Grow resized a decoder's payload")
+	}
+}
+
 // TestTruncationEveryPrefix mirrors the trace-journal suite: every
 // proper prefix of a sealed container must fail loudly, never decode.
 func TestTruncationEveryPrefix(t *testing.T) {

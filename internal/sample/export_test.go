@@ -7,3 +7,11 @@ func SetMeasureHook(f func(delta int)) (restore func()) {
 	measureHook = f
 	return func() { measureHook = prev }
 }
+
+// SetWarmHook installs f as the warming stage's per-batch hook until
+// the returned function restores the previous one.
+func SetWarmHook(f func()) (restore func()) {
+	prev := warmHook
+	warmHook = f
+	return func() { warmHook = prev }
+}

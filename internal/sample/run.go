@@ -150,6 +150,7 @@ func Run(ctx context.Context, plan *Plan, prog *isa.Program, image *mem.Memory, 
 	}
 	cpu := emu.New(m)
 	w := newWarmer(&cfg)
+	defer w.stop()
 
 	return measureAll(ctx, plan.TotalInstr, plan.Samples, warmup, slots, func(s PlanSample, warmupInstr uint64, proc *core.Proc) error {
 		if err := w.warmTo(cpu, prog, s.Start-warmupInstr, s.Start); err != nil {
@@ -235,7 +236,7 @@ func measureAll(ctx context.Context, total uint64, samples []PlanSample, warmup 
 		go func() {
 			defer func() {
 				if v := recover(); v != nil {
-					panics[i] = &measurePanic{Value: v, Stack: debug.Stack()}
+					panics[i] = &measurePanic{Value: v, Stack: debug.Stack(), Helper: "sample-measuring"}
 				}
 				if measureHook != nil {
 					measureHook(-1)
@@ -272,16 +273,18 @@ func measureAll(ctx context.Context, total uint64, samples []PlanSample, warmup 
 // step at once.
 var measureHook func(delta int)
 
-// measurePanic is what measureAll re-raises when a helper goroutine
-// panicked: the recovered value plus the helper's stack, which the
-// re-panic on the calling goroutine would otherwise lose.
+// measurePanic is what the calling goroutine re-raises when a helper
+// goroutine panicked — a measureAll helper or warming's stage 2: the
+// recovered value plus the helper's stack, which the re-panic on the
+// calling goroutine would otherwise lose. Helper names the goroutine.
 type measurePanic struct {
-	Value any
-	Stack []byte
+	Value  any
+	Stack  []byte
+	Helper string
 }
 
 func (p *measurePanic) String() string {
-	return fmt.Sprintf("%v\n\nsample-measuring goroutine stack:\n%s", p.Value, p.Stack)
+	return fmt.Sprintf("%v\n\n%s goroutine stack:\n%s", p.Value, p.Helper, p.Stack)
 }
 
 // resetMachine is the build step both paths share: proc reset to a

@@ -131,20 +131,27 @@ func CaptureState(ctx context.Context, plan *Plan, prog *isa.Program, image *mem
 	}
 	cpu := emu.New(m)
 	w := newWarmer(&cfg)
+	defer w.stop()
 
 	var c ckpt.Codec
 	info := StateInfo{Config: cfg, Program: prog.Name, ProgramLen: prog.Len(),
 		ProgramHash: prog.Hash(), Plan: *plan, Warmup: warmup}
 	info.walk(&c)
-	for _, s := range plan.Samples {
+	for i, s := range plan.Samples {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if err := w.warmTo(cpu, prog, warmStart(s, warmup), s.Start); err != nil {
 			return nil, err
 		}
+		start := len(c.Payload())
 		walkSample(&c, &cpu.PC, &cpu.Regs, &cpu.Mem, image)
-		core.WalkWarmState(&c, w.g, w.mbs, w.sp, w.l1i, w.l1d, w.l2, w.l3)
+		core.WalkWarmState(&c, &w.g, &w.mbs, &w.sp, &w.l1i, &w.l1d, &w.l2, &w.l3)
+		if i == 0 {
+			// Every record carries a warm state of the same size:
+			// reserve the rest of the payload at the first one's size.
+			c.Grow((len(c.Payload()) - start) * (len(plan.Samples) - 1))
+		}
 	}
 	return ckpt.Seal(StateVersion, c.Payload()), nil
 }

@@ -65,6 +65,7 @@ func TestWalkObserversAllocFree(t *testing.T) {
 	pr := newProfiler(prog)
 	cfg := core.DefaultConfig(core.ModeCI)
 	w := newWarmer(&cfg)
+	defer w.stop()
 
 	for _, tc := range []struct {
 		name string

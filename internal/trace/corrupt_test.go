@@ -2,8 +2,10 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 
 	"civect/internal/core"
@@ -29,7 +31,7 @@ func drain(journal []byte) error {
 	}
 }
 
-func smallJournal(t *testing.T) []byte {
+func smallJournal(t testing.TB) []byte {
 	t.Helper()
 	j, _ := record(t, workload.Random(3), core.DefaultConfig(core.ModeCI), trace.LevelPipeline)
 	return j
@@ -79,6 +81,26 @@ func TestCorruptJournal(t *testing.T) {
 	bad[len(bad)-1] ^= 1
 	if err := drain(bad); !errors.Is(err, trace.ErrCorrupt) {
 		t.Fatalf("trailer CRC flip: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestForgedBlockLength: a block length at the reader's cap with only
+// a few bytes behind it is rejected as truncated without allocating
+// the declared size.
+func TestForgedBlockLength(t *testing.T) {
+	j := smallJournal(t)
+	header := j[:4+4+1+int(j[8])+4]
+	forged := binary.AppendUvarint(bytes.Clone(header), 16<<20)
+	forged = append(forged, make([]byte, 10)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := drain(forged)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, trace.ErrTruncated) {
+		t.Fatalf("forged block length: got %v, want ErrTruncated", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("reading a 10-byte block declared at 16 MB allocated %d bytes", alloc)
 	}
 }
 

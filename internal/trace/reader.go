@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -270,10 +271,14 @@ func (r *Reader) nextBlock() error {
 	if n > maxBlock {
 		return fmt.Errorf("%w: block %d length %d exceeds limit", ErrCorrupt, r.block, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r.br, payload); err != nil {
+	// Read the bytes before sizing for the declared length, into the
+	// last block's buffer: a forged length then costs no more memory
+	// than the bytes that back it.
+	buf := bytes.NewBuffer(r.payload[:0])
+	if m, _ := io.CopyN(buf, r.br, int64(n)); m != int64(n) {
 		return fmt.Errorf("%w: block %d cut short", ErrTruncated, r.block)
 	}
+	payload := buf.Bytes()
 	var crc [4]byte
 	if _, err := io.ReadFull(r.br, crc[:]); err != nil {
 		return fmt.Errorf("%w: block %d CRC missing", ErrTruncated, r.block)

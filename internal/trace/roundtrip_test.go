@@ -23,7 +23,7 @@ var engines = []struct {
 
 // record runs b under cfg with a journal recorder attached and returns
 // the journal bytes and the final statistics.
-func record(t *testing.T, b *workload.Benchmark, cfg core.Config, level trace.Level) ([]byte, *core.Stats) {
+func record(t testing.TB, b *workload.Benchmark, cfg core.Config, level trace.Level) ([]byte, *core.Stats) {
 	t.Helper()
 	var buf bytes.Buffer
 	rec := trace.NewRecorder(&buf, level, trace.Meta{Workload: "test", Mode: cfg.Mode})

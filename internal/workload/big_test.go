@@ -78,6 +78,29 @@ func TestBigTierThresholds(t *testing.T) {
 	}
 }
 
+// TestBigLenIsExact: the big tier's reservation counts exactly the
+// instructions buildBig emits, across every registry shape (with and
+// without pointer chasing, gathers and arm loads), so every big and
+// ultra program is built into one buffer and handed over uncopied.
+func TestBigLenIsExact(t *testing.T) {
+	for _, name := range append(BigNames(), UltraNames()...) {
+		p, ok := ParamsFor(name)
+		if !ok {
+			t.Fatalf("%s: no params", name)
+		}
+		if p.Unroll == 0 {
+			p.Unroll = p.sizedUnroll()
+		}
+		prog, err := p.program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.bigLen(); got != prog.Len() {
+			t.Errorf("%s: bigLen %d, buildBig emitted %d", name, got, prog.Len())
+		}
+	}
+}
+
 // TestBigHaltsAndDeterministic runs small-epoch big variants to
 // completion under the functional emulator and checks generation is
 // reproducible per seed.

@@ -345,6 +345,9 @@ func (p Params) buildBig(b *asm.Builder) {
 	// counts would alias the same few sets, starving the predictors in a
 	// way no real instruction mix does.
 	pad := p.bodyLen()%2 == 0
+	// The labels: the epoch loop's, each phase loop's, and per body
+	// copy two a hammock (its else arm and its join).
+	b.Grow(p.bigLen(), 1+p.Phases*(1+p.Unroll*2*p.Hammocks))
 	epoch := b.NewLabel()
 	b.Bind(epoch)
 	for ph := 0; ph < p.Phases; ph++ {
@@ -384,14 +387,36 @@ func (p Params) bodyLen() int {
 	return b.Len()
 }
 
+// paddedBodyLen returns the instruction count of one body copy with the
+// nop pad buildBig adds to an even-length body.
+func (p Params) paddedBodyLen() int {
+	return p.bodyLen() | 1
+}
+
+// bigLen returns the exact instruction count buildBig emits, so the
+// build reserves its code once and Program takes it without a copy.
+// It mirrors buildBig: the set-up, then per phase the pointer set-up,
+// the unrolled copies and the loop branch, then the epoch branch and
+// the halt.
+func (p Params) bigLen() int {
+	setup := 2 // epoch count, mask
+	if p.PointerChase {
+		setup++
+	}
+	phase := 1 + p.Streams + 2 // count, stream pointers; the loop's subi, bnez
+	if p.Gathers > 0 {
+		phase++
+	}
+	if p.ArmLoads > 0 {
+		phase++
+	}
+	return setup + p.Phases*(phase+p.Unroll*p.paddedBodyLen()) + 3
+}
+
 // sizedUnroll picks the body replication factor that pushes the big
 // tier past bigStaticTarget static instructions.
 func (p Params) sizedUnroll() int {
-	body := p.bodyLen()
-	if body%2 == 0 {
-		body++ // the nop pad buildBig adds
-	}
-	per := p.Phases * body
+	per := p.Phases * p.paddedBodyLen()
 	return (bigStaticTarget + per - 1) / per
 }
 
