@@ -68,12 +68,12 @@ func main() {
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   cickpt profile -bench B [-instr N] [-interval I] [-k K] [-json]
-  cickpt checkpoint -bench B -at N -o FILE [-mode M] [-engine E]
+  cickpt checkpoint -bench B -at N -o FILE [-mode M]
   cickpt sampled-run -bench B [-mode M] [-instr N] [-interval I] [-k K] [-warmup W] [-json]
   cickpt prepare -bench B -o FILE [-mode M] [-instr N] [-interval I] [-k K] [-warmup W]
   cickpt measure -state FILE [-json]
   cickpt verify FILE
-  cickpt verify -bench B -at N [-instr M] [-mode M] [-engine E]
+  cickpt verify -bench B -at N [-instr M] [-mode M]
 `)
 }
 
@@ -144,7 +144,6 @@ func cmdCheckpoint(args []string) {
 	fs := flag.NewFlagSet("cickpt checkpoint", flag.ExitOnError)
 	bench := fs.String("bench", "gcc", "benchmark name (any tier)")
 	modeStr := fs.String("mode", "ci", "machine mode: scal, wb, ci, ci-iw, vect")
-	engineStr := fs.String("engine", "fast-forward", "simulation engine: fast-forward, event, naive")
 	at := fs.Uint64("at", 0, "committed-instruction split point (required, > 0)")
 	out := fs.String("o", "", "output checkpoint file (required)")
 	fs.Parse(args)
@@ -153,7 +152,7 @@ func cmdCheckpoint(args []string) {
 		os.Exit(2)
 	}
 
-	s, err := newSession(*bench, *modeStr, *engineStr, 0)
+	s, err := newSession(*bench, *modeStr, 0)
 	if err != nil {
 		fatal(err)
 	}
@@ -323,7 +322,6 @@ func cmdVerify(args []string) {
 	fs := flag.NewFlagSet("cickpt verify", flag.ExitOnError)
 	bench := fs.String("bench", "", "differential form: benchmark name")
 	modeStr := fs.String("mode", "ci", "machine mode: scal, wb, ci, ci-iw, vect")
-	engineStr := fs.String("engine", "fast-forward", "simulation engine: fast-forward, event, naive")
 	at := fs.Uint64("at", 0, "differential form: committed-instruction split point")
 	instr := fs.Uint64("instr", 0, "differential form: committed-instruction budget (0 = run to halt)")
 	fs.Parse(args)
@@ -340,7 +338,7 @@ func cmdVerify(args []string) {
 		usage()
 		os.Exit(2)
 	}
-	verifyDifferential(*bench, *modeStr, *engineStr, *at, *instr)
+	verifyDifferential(*bench, *modeStr, *at, *instr)
 }
 
 func verifyFile(path string) {
@@ -363,8 +361,8 @@ func verifyFile(path string) {
 		path, s.Workload().Name(), s.Config().Mode, st.Cycles, st.Committed)
 }
 
-func verifyDifferential(bench, modeStr, engineStr string, at, instr uint64) {
-	full, err := newSession(bench, modeStr, engineStr, instr)
+func verifyDifferential(bench, modeStr string, at, instr uint64) {
+	full, err := newSession(bench, modeStr, instr)
 	if err != nil {
 		fatal(err)
 	}
@@ -380,7 +378,7 @@ func verifyDifferential(bench, modeStr, engineStr string, at, instr uint64) {
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "split.ckpt")
 
-	half, err := newSession(bench, modeStr, engineStr, instr)
+	half, err := newSession(bench, modeStr, instr)
 	if err != nil {
 		fatal(err)
 	}
@@ -408,17 +406,13 @@ func verifyDifferential(bench, modeStr, engineStr string, at, instr uint64) {
 			got.Stats.Cycles, got.Stats.Committed, got.Stats.IPC())
 		os.Exit(1)
 	}
-	fmt.Printf("%s/%s/%s: ok: split at %d, both runs end at cycle %d with %d committed, bit-identical\n",
-		bench, modeStr, engineStr, at, want.Stats.Cycles, want.Stats.Committed)
+	fmt.Printf("%s/%s: ok: split at %d, both runs end at cycle %d with %d committed, bit-identical\n",
+		bench, modeStr, at, want.Stats.Cycles, want.Stats.Committed)
 }
 
 // newSession builds a detailed session over a registry workload.
-func newSession(bench, modeStr, engineStr string, instr uint64) (*sim.Session, error) {
+func newSession(bench, modeStr string, instr uint64) (*sim.Session, error) {
 	mode, err := sim.ParseMode(modeStr)
-	if err != nil {
-		return nil, err
-	}
-	engine, err := sim.ParseEngine(engineStr)
 	if err != nil {
 		return nil, err
 	}
@@ -426,5 +420,5 @@ func newSession(bench, modeStr, engineStr string, instr uint64) (*sim.Session, e
 	if err != nil {
 		return nil, err
 	}
-	return sim.New(w, sim.WithMode(mode), sim.WithEngine(engine), sim.WithInstrBudget(instr))
+	return sim.New(w, sim.WithMode(mode), sim.WithInstrBudget(instr))
 }

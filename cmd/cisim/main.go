@@ -21,7 +21,6 @@ import (
 func main() {
 	bench := flag.String("bench", "gcc", "benchmark name (one of the SpecInt2000 stand-ins, either tier)")
 	modeStr := flag.String("mode", "ci", "machine mode: scal, wb, ci, ci-iw, vect")
-	engineStr := flag.String("engine", "fast-forward", "simulation engine: fast-forward, event, naive")
 	ports := flag.Int("ports", 1, "L1 data cache ports")
 	regs := flag.Int("regs", 256, "physical registers (0 = unbounded)")
 	replicas := flag.Int("replicas", 4, "replicas per vectorized instruction")
@@ -56,11 +55,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cisim: unknown mode %q\n", *modeStr)
 		os.Exit(2)
 	}
-	engine, err := sim.ParseEngine(*engineStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cisim:", err)
-		os.Exit(2)
-	}
 	w, err := sim.Load(*bench)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cisim:", err)
@@ -69,7 +63,6 @@ func main() {
 
 	s, err := sim.New(w,
 		sim.WithMode(mode),
-		sim.WithEngine(engine),
 		sim.WithPorts(*ports),
 		sim.WithRegs(*regs),
 		sim.WithReplicas(*replicas),

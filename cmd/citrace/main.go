@@ -4,12 +4,12 @@
 // suspect one, then let diff localize the exact first cycle — and
 // first event within it — where the two runs part ways. The worked
 // example in docs/DEBUGGING.md hunts a real historical engine bug
-// with it.
+// with it, recording the suspect journal from a build that has the bug
+// patched back in.
 //
 // Usage:
 //
 //	citrace record -bench vpr -mode ci -instr 15000 -o good.civt
-//	citrace record -bench vpr -mode ci -instr 15000 -alias-bug -o bad.civt
 //	citrace dump -from 360 -to 380 good.civt
 //	citrace diff good.civt bad.civt
 //
@@ -50,7 +50,7 @@ func main() {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
-  citrace record -o FILE [-bench B] [-mode M] [-engine E] [-instr N] [-level L] [-window F:L] [-alias-bug]
+  citrace record -o FILE [-bench B] [-mode M] [-instr N] [-level L] [-window F:L]
   citrace dump [-from N] [-to N] FILE
   citrace diff [-engine-events] FILE_A FILE_B
 `)
@@ -65,12 +65,9 @@ func cmdRecord(args []string) {
 	fs := flag.NewFlagSet("citrace record", flag.ExitOnError)
 	bench := fs.String("bench", "gcc", "benchmark name (either tier)")
 	modeStr := fs.String("mode", "ci", "machine mode: scal, wb, ci, ci-iw, vect")
-	engineStr := fs.String("engine", "fast-forward", "simulation engine: fast-forward, event, naive")
 	instr := fs.Uint64("instr", 15_000, "committed-instruction budget (0 = run to halt)")
 	levelStr := fs.String("level", "pipeline", "journal level: commits, pipeline, full")
 	window := fs.String("window", "", "only record cycles F:L (L empty = open-ended)")
-	aliasBug := fs.Bool("alias-bug", false,
-		"re-introduce the PR 1 SRSMT worklist aliasing bug (divergence demo; see docs/DEBUGGING.md)")
 	out := fs.String("o", "", "output journal file (required)")
 	fs.Parse(args)
 	if *out == "" || fs.NArg() != 0 {
@@ -79,10 +76,6 @@ func cmdRecord(args []string) {
 	}
 
 	mode, err := sim.ParseMode(*modeStr)
-	if err != nil {
-		fatal(err)
-	}
-	engine, err := sim.ParseEngine(*engineStr)
 	if err != nil {
 		fatal(err)
 	}
@@ -106,7 +99,6 @@ func cmdRecord(args []string) {
 	defer f.Abort() // no-op once committed
 	opts := []sim.Option{
 		sim.WithMode(mode),
-		sim.WithEngine(engine),
 		sim.WithInstrBudget(*instr),
 		sim.WithTrace(f),
 		sim.WithTraceLevel(level),
@@ -117,11 +109,6 @@ func cmdRecord(args []string) {
 			fatal(err)
 		}
 		opts = append(opts, sim.WithTraceWindow(first, last))
-	}
-	if *aliasBug {
-		opts = append(opts, sim.WithConfigPatch(func(c *sim.Config) {
-			c.EmulateAliasedWorklist = true
-		}))
 	}
 	s, err := sim.New(w, opts...)
 	if err != nil {

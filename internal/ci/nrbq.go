@@ -57,9 +57,6 @@ func (q *NRBQ) Reset(capacity int) {
 // Len returns the number of live entries.
 func (q *NRBQ) Len() int { return q.n }
 
-// Cap returns the capacity.
-func (q *NRBQ) Cap() int { return len(q.entries) }
-
 // PushBranch appends an entry for a newly decoded conditional branch
 // with a cleared mask. If the queue is full, the oldest entry is
 // dropped.

@@ -50,7 +50,7 @@ func (p *Proc) commitStage() {
 		// first), so recomputation is pure assertion. The reference
 		// mode keeps asserting; differential tests compare the two.
 		var archVal, archAddr uint64
-		if h.tainted || p.cfg.CommitRecomputeAll {
+		if h.tainted || p.cfg.commitRecomputeAll {
 			archVal, archAddr = p.archResult(in)
 		} else {
 			archVal, archAddr = h.value, h.addr

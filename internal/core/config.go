@@ -87,6 +87,30 @@ func (m Mode) UsesWideBus() bool { return m != ModeScalar }
 // Vectorizes reports whether the mode creates speculative replicas.
 func (m Mode) Vectorizes() bool { return m == ModeCI || m == ModeVect }
 
+// Engine names a timing engine. The three are observation-equivalent —
+// bit-identical statistics, journals and checkpoints — and differ only
+// in host speed. Machines run the zero value; the two slower engines
+// are the references the differential tests compare it against.
+type Engine uint8
+
+const (
+	// EngineFastForward is the event-driven scheduler plus the
+	// stall-cycle fast-forward engine (fastforward.go), which jumps
+	// provably inert cycle ranges.
+	EngineFastForward Engine = iota
+	// EngineEvent is the event-driven scheduler stepping every cycle.
+	EngineEvent
+	// EngineNaive is the polled scheduler: issue re-scans the whole
+	// waiting list and blocked replicas re-attempt arbitration every
+	// cycle. It never fast-forwards.
+	EngineNaive
+)
+
+// SetEngineForTest selects the timing engine. It is for tests only:
+// no command, option or service sets it, and a checkpoint carries the
+// engine it was taken on.
+func (c *Config) SetEngineForTest(e Engine) { c.engine = e }
+
 // Config holds every processor parameter. DefaultConfig returns
 // Table 1; the experiment harness varies the fields each figure sweeps.
 type Config struct {
@@ -184,41 +208,19 @@ type Config struct {
 	// mispredictions; this ablation measures what it buys).
 	DisableMBSGate bool
 
-	// NaiveScheduler selects the polled reference scheduler: issue
-	// re-scans the whole waiting list every cycle and blocked replicas
-	// re-attempt arbitration every cycle, as in PR 1. The default
-	// (false) is the event-driven wakeup engine, which is required to
-	// be observation-equivalent — the differential tests in
-	// internal/core compare the two bit-for-bit.
-	NaiveScheduler bool
+	// engine is the timing engine the machine steps with; the zero
+	// value is the default fast-forward engine. Only differential tests
+	// choose another, through SetEngineForTest.
+	engine Engine
 
-	// NoFastForward disables the stall-cycle fast-forward engine
-	// (fastforward.go) and steps every simulated cycle individually —
-	// the reference mode the fast-forward differential tests compare
-	// against, same pattern as NaiveScheduler. Fast-forward needs the
-	// event scheduler's ready/park lists to prove a cycle inert, so the
-	// naive scheduler never fast-forwards regardless of this flag.
-	NoFastForward bool
-
-	// CommitRecomputeAll restores the reference commit path that
+	// commitRecomputeAll restores the reference commit path that
 	// recomputes every instruction architecturally (archResult) before
 	// retiring it. The default (false) skips the recomputation for
 	// instructions whose rename-time operand sources carried no reused
 	// (validated or squash-reuse) value — for those the issue-time
 	// result is exact by construction, which the reference mode's
-	// commit assertion checks. Differential tests compare the two.
-	CommitRecomputeAll bool
-
-	// EmulateAliasedWorklist re-introduces the PR 1 SRSMT worklist
-	// aliasing bug for demonstration: a stale worklist listing is
-	// treated as live as long as its way holds any valid incarnation,
-	// so a recycled way inherits its predecessor's listing and takes
-	// double replica-arbitration turns per cycle — unphysical
-	// hardware. The knob exists so the trace tooling (cmd/citrace,
-	// internal/trace) can exhibit divergence localization on a real,
-	// historical engine bug; it is deterministic but must never be
-	// used for reported results.
-	EmulateAliasedWorklist bool
+	// commit assertion checks. Only core's differential tests set it.
+	commitRecomputeAll bool
 
 	// MaxInstr bounds committed instructions (0: run to halt).
 	MaxInstr uint64
@@ -276,6 +278,8 @@ func (c *Config) Validate() error {
 	switch {
 	case c.Mode < ModeScalar || c.Mode > ModeVect:
 		return fmt.Errorf("core: invalid mode %d", int(c.Mode))
+	case c.engine > EngineNaive:
+		return fmt.Errorf("core: invalid engine %d", c.engine)
 	case c.FetchWidth <= 0 || c.DecodeWidth <= 0 || c.IssueWidth <= 0 || c.CommitWidth <= 0:
 		return fmt.Errorf("core: pipeline widths must be positive")
 	case c.WindowSize < 4:

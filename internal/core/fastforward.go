@@ -26,8 +26,8 @@ package core
 // and a pending recurrence seed keeps its entry listed, so seed
 // capture never needs polling across a skip. The naive scheduler has
 // none of those guarantees, so it never fast-forwards; the stepped
-// event engine is retained behind Config.NoFastForward as the
-// differential-test reference (ff_diff_test.go proves skip-vs-step
+// event engine is retained as EngineEvent, the differential-test
+// reference (ff_diff_test.go proves skip-vs-step
 // equivalence cycle for cycle).
 
 // ffIdle reports whether the coming cycle (p.cycle+1) is provably

@@ -12,16 +12,39 @@ import (
 // observation-equivalent to the stepped pipeline: skipping a range of
 // cycles must leave every statistic — including Cycles and the
 // per-cycle occupancy average — bit-identical. These tests prove it
-// differentially against both retained references ({naive scheduler,
-// stepped event scheduler}; Config.NaiveScheduler / NoFastForward),
-// across the synthetic SpecInt workloads, both workload tiers and
-// random programs, plus cycle-for-cycle alignment at every jump.
+// differentially against both retained references (EngineNaive and
+// EngineEvent), across the synthetic SpecInt workloads, both workload
+// tiers and random programs, plus cycle-for-cycle alignment at every
+// jump.
 
-// engineConfigs names the three pipeline engines a Config can select.
-var engineConfigs = map[string]func(*Config){
-	"naive":       func(c *Config) { c.NaiveScheduler = true; c.NoFastForward = true },
-	"event":       func(c *Config) { c.NaiveScheduler = false; c.NoFastForward = true },
-	"fastforward": func(c *Config) { c.NaiveScheduler = false; c.NoFastForward = false },
+// engineNames names the three timing engines as CIVECT_ENGINE_PAIR
+// and the suites do.
+var engineNames = map[string]Engine{
+	"naive":       EngineNaive,
+	"event":       EngineEvent,
+	"fastforward": EngineFastForward,
+}
+
+// knownEngine reports whether name is one of engineNames.
+func knownEngine(name string) bool {
+	_, ok := engineNames[name]
+	return ok
+}
+
+// useEngine selects the named engine on cfg through the test-only
+// setter. It fails if the setter did not take: every engine would then
+// be the default one, and a differential suite would compare one
+// engine with itself.
+func useEngine(t testing.TB, cfg *Config, name string) {
+	t.Helper()
+	e, ok := engineNames[name]
+	if !ok {
+		t.Fatalf("unknown engine %q", name)
+	}
+	cfg.SetEngineForTest(e)
+	if cfg.engine != e {
+		t.Fatalf("SetEngineForTest(%s) left engine %d: the suite would compare one engine with itself", name, cfg.engine)
+	}
 }
 
 // enginePairs returns the engine pairs to compare. By default all
@@ -35,7 +58,7 @@ func enginePairs(t *testing.T) [][2]string {
 		return all
 	}
 	parts := strings.Split(v, ",")
-	if len(parts) != 2 || engineConfigs[parts[0]] == nil || engineConfigs[parts[1]] == nil {
+	if len(parts) != 2 || !knownEngine(parts[0]) || !knownEngine(parts[1]) {
 		t.Fatalf("CIVECT_ENGINE_PAIR=%q: want two of naive|event|fastforward", v)
 	}
 	return [][2]string{{parts[0], parts[1]}}
@@ -66,7 +89,7 @@ func skipUnlessPair(t *testing.T, a, b string) {
 // engineStats simulates b under cfg with the named engine applied.
 func engineStats(t *testing.T, b *workload.Benchmark, cfg Config, engine string) *Stats {
 	t.Helper()
-	engineConfigs[engine](&cfg)
+	useEngine(t, &cfg, engine)
 	return runStats(t, b, cfg)
 }
 
@@ -194,7 +217,7 @@ func TestFastForwardCycleAlignment(t *testing.T) {
 	mk := func(engine string) *Proc {
 		cfg := DefaultConfig(ModeCI)
 		cfg.MaxInstr = 25_000
-		engineConfigs[engine](&cfg)
+		useEngine(t, &cfg, engine)
 		p, err := New(cfg, wl.Program, wl.NewMem())
 		if err != nil {
 			t.Fatal(err)
@@ -344,7 +367,7 @@ func TestCommitDirtyFlagDifferential(t *testing.T) {
 		cfg := DefaultConfig(tc.mode)
 		cfg.MaxInstr = 12_000
 		fast := runStats(t, wl, cfg)
-		cfg.CommitRecomputeAll = true
+		cfg.commitRecomputeAll = true
 		ref := runStats(t, wl, cfg)
 		if *fast != *ref {
 			t.Errorf("%s/%v: dirty-flag commit diverges from always-recompute:\nfast: %+v\nref:  %+v",
@@ -355,7 +378,7 @@ func TestCommitDirtyFlagDifferential(t *testing.T) {
 		wl := workload.Random(seed)
 		cfg := DefaultConfig(ModeCI)
 		fast := runStats(t, wl, cfg)
-		cfg.CommitRecomputeAll = true
+		cfg.commitRecomputeAll = true
 		ref := runStats(t, wl, cfg)
 		if *fast != *ref {
 			t.Errorf("random seed %d: dirty-flag commit diverges:\nfast: %+v\nref:  %+v", seed, *fast, *ref)
@@ -439,7 +462,7 @@ func TestStoreIndexInvariants(t *testing.T) {
 		}
 		cfg := DefaultConfig(tc.mode)
 		cfg.MaxInstr = 10_000
-		engineConfigs[tc.engine](&cfg)
+		useEngine(t, &cfg, tc.engine)
 		p, err := New(cfg, wl.Program, wl.NewMem())
 		if err != nil {
 			t.Fatal(err)

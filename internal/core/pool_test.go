@@ -78,7 +78,7 @@ func checkReplicaInvariants(t *testing.T, p *Proc) {
 				t.Fatalf("cycle %d: pc=%d issued slot blocked: blocked=%b issued=%b",
 					p.cycle, ent.PC, ent.BlockedMask, issuedMask)
 			}
-			if p.cfg.NaiveScheduler && ent.BlockedMask != 0 {
+			if !p.eventSched && ent.BlockedMask != 0 {
 				t.Fatalf("cycle %d: pc=%d naive scheduler blocked slots: %b",
 					p.cycle, ent.PC, ent.BlockedMask)
 			}
@@ -99,7 +99,7 @@ func checkReplicaInvariants(t *testing.T, p *Proc) {
 				t.Fatalf("cycle %d: pc=%d parked with work: seedResolved=%v alloc=%d decode=%d nregs=%d",
 					p.cycle, ent.PC, seedResolved, ent.Alloc, ent.Decode, ent.NRegs)
 			}
-			if p.cfg.NaiveScheduler || len(ent.Replicas) > 64 {
+			if !p.eventSched || len(ent.Replicas) > 64 {
 				if ent.Pending > 0 {
 					t.Fatalf("cycle %d: pc=%d parked with %d pending slots", p.cycle, ent.PC, ent.Pending)
 				}
@@ -211,7 +211,7 @@ func TestWorklistInvariants(t *testing.T) {
 		}()},
 		{"ci-naive", func() Config {
 			c := DefaultConfig(ModeCI)
-			c.NaiveScheduler = true
+			c.SetEngineForTest(EngineNaive)
 			return c
 		}()},
 	}

@@ -341,7 +341,7 @@ type Proc struct {
 	// can skip whole scans while nothing is due.
 	execMinDone uint64
 
-	// Event-driven scheduler state (eventSched = !Config.NaiveScheduler).
+	// Event-driven scheduler state (off only on EngineNaive).
 	eventSched bool
 	readyQ     []waitRef
 	regWaiters [][]waitRef
@@ -371,10 +371,10 @@ type Proc struct {
 	doneWheel [wheelSpan][]entryRef
 	wheelOcc  [wheelSpan / 64]uint64
 
-	// Stall fast-forward engine state (fastforward.go): enabled when
-	// the event scheduler is on and Config.NoFastForward is off, plus
-	// the jump/skipped-cycle activity counters (kept out of Stats so
-	// fast-forwarded and stepped runs compare with struct equality).
+	// Stall fast-forward engine state (fastforward.go): enabled on
+	// EngineFastForward, plus the jump/skipped-cycle activity counters
+	// (kept out of Stats so fast-forwarded and stepped runs compare
+	// with struct equality).
 	// lastNoIssue records that the just-finished cycle's issue scan
 	// issued nothing, and readyDirty that the ready list changed after
 	// that scan — together they prove a non-empty ready list holds only
@@ -397,10 +397,6 @@ type Proc struct {
 	// Registered per-event tracer (observer.go). Nil in production
 	// runs: every emission point is gated on one nil check.
 	tracer Tracer
-
-	// aliasEmu re-introduces the PR 1 SRSMT worklist aliasing bug
-	// (Config.EmulateAliasedWorklist) for trace-divergence demos.
-	aliasEmu bool
 
 	// Per-cycle budgets.
 	aluFree, mulFree int
@@ -547,11 +543,10 @@ func (p *Proc) Reset(cfg Config, prog *isa.Program, m *mem.Memory) error {
 
 	// Epoch 0 would make the zero-valued freedMark read as all-freed.
 	p.freedEpoch = 1
-	p.aliasEmu = cfg.EmulateAliasedWorklist
-	p.eventSched = !cfg.NaiveScheduler
+	p.eventSched = cfg.engine != EngineNaive
 	// Fast-forward needs the event scheduler's quiescence guarantees;
 	// the naive reference always steps.
-	p.fastFwd = p.eventSched && !cfg.NoFastForward
+	p.fastFwd = cfg.engine == EngineFastForward
 	// The wakeup structures are pre-sized so the steady state stays
 	// allocation-free: park lists for every physical register (bounded
 	// files; unbounded ones grow on demand) and completion wheel

@@ -8,7 +8,7 @@ import (
 
 // Event-driven replica arbitration.
 //
-// The naive reference (PR 1, retained behind Config.NaiveScheduler)
+// The naive reference (the original scheduler, retained as EngineNaive)
 // re-attempts every waiting replica every cycle: a replica blocked on
 // its producer replica resolves its operands, discovers they are still
 // in flight, and returns — ~10% of ci-mode CPU doing nothing. The
@@ -77,14 +77,9 @@ func (p *Proc) replicaTickEvent() {
 		// per field, adjacent listed ways sharing cache lines.
 		h := ref.hdr
 		if !ref.live() {
-			// Config.EmulateAliasedWorklist: keep the stale listing as
-			// long as the way holds any valid incarnation — the PR 1
-			// aliasing bug this knob re-introduces for trace demos.
-			if !p.aliasEmu || !h.Valid {
-				p.activeEntries[p.tickIdx].ent = nil
-				retired++
-				continue
-			}
+			p.activeEntries[p.tickIdx].ent = nil
+			retired++
+			continue
 		}
 		ent := ref.ent
 		small := len(ent.Replicas) <= 64

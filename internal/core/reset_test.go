@@ -131,7 +131,7 @@ func TestRecycledMachineDiff(t *testing.T) {
 				if pt.edit != nil {
 					pt.edit(&cfg)
 				}
-				engineConfigs[eng](&cfg)
+				useEngine(t, &cfg, eng)
 				build := pt.build
 				if build == nil {
 					build = func(t *testing.T, p *Proc, cfg Config, b *workload.Benchmark) {

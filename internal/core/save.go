@@ -38,8 +38,8 @@ import (
 //     wordListFree): dead between cycles by construction;
 //   - observer/tracer wiring and their batching cursors: attachments are
 //     per-session, never part of machine state, and cannot affect stats;
-//   - derived mode flags (eventSched, fastFwd, aliasEmu): recomputed
-//     from the serialized Config exactly as build does.
+//   - derived engine flags (eventSched, fastFwd): recomputed from the
+//     serialized Config exactly as build does.
 //
 // Pointer-shaped state is index-encoded: SRSMT worklist/watch listings
 // and ROB value-entry pointers travel as way indices, re-linked against
@@ -85,9 +85,16 @@ func configFields(c *Config) []any {
 		&c.Hier.MaxOutstandingMisses, &c.DL1Ports, &c.Replicas, &c.StridedPCsPerEntry,
 		&c.StrideSets, &c.StrideAssoc, &c.SRSMTSets, &c.SRSMTAssoc, &c.MBSSets, &c.MBSAssoc,
 		&c.NRBQEntries, &c.SpecMemSize, &c.SpecMemLat, &c.ReplicaRegReserve, &c.RenameRegHeadroom,
-		&c.DisableDAEC, &c.DisableMBSGate, &c.NaiveScheduler, &c.NoFastForward,
-		&c.CommitRecomputeAll, &c.EmulateAliasedWorklist, &c.MaxInstr, &c.MaxCycles)
+		&c.DisableDAEC, &c.DisableMBSGate, &c.engine, &c.commitRecomputeAll,
+		retiredAliasSlot{}, &c.MaxInstr, &c.MaxCycles)
 }
+
+// retiredAliasSlot is the CIVK slot of the retired alias-bug emulation
+// switch (a fixed SRSMT worklist aliasing bug, re-introduced on demand
+// for trace demos). It is always written false. A payload that sets it
+// describes a machine no build can resume bit-identically, so it is
+// rejected.
+type retiredAliasSlot struct{}
 
 // statsFields lists the serialized statistics in CIVK order. Cache-level
 // snapshots are not among them: Finalize/Snapshot re-derive them from
@@ -112,6 +119,26 @@ func walkFields(c *ckpt.Codec, fields []any) {
 		switch f := f.(type) {
 		case *Mode:
 			c.Int((*int)(f))
+		case *Engine:
+			// Two slots, the scheduler bools the engine replaced:
+			// naive, then no-fast-forward (naive is written 1, 0).
+			naive, noFF := *f == EngineNaive, *f == EngineEvent
+			c.Bool(&naive)
+			c.Bool(&noFF)
+			switch {
+			case naive:
+				*f = EngineNaive
+			case noFF:
+				*f = EngineEvent
+			default:
+				*f = EngineFastForward
+			}
+		case retiredAliasSlot:
+			var set bool
+			c.Bool(&set)
+			if set {
+				c.Fail("config sets the retired alias-bug emulation")
+			}
 		case *int:
 			c.Int(f)
 		case *bool:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"civect/internal/ckpt"
 	"civect/internal/isa"
 	"civect/internal/workload"
 )
@@ -43,7 +44,8 @@ func runToEnd(t *testing.T, p *Proc) *Stats {
 
 // checkpointAndResume runs a fresh machine to splitAt committed
 // instructions, checkpoints it, restores the checkpoint into a second
-// machine, runs both to completion and requires bit-identity. It also
+// machine, runs both to completion and requires bit-identity with each
+// other and with a third machine that never checkpointed. It also
 // exercises the serialized container round-trip (the restored machine
 // never shares memory with the original).
 func checkpointAndResume(t *testing.T, b *workload.Benchmark, cfg Config, splitAt uint64) {
@@ -75,13 +77,22 @@ func checkpointAndResume(t *testing.T, b *workload.Benchmark, cfg Config, splitA
 			orig.cycle, orig.Stats, restored.cycle, restored.Stats)
 	}
 
+	straight, err := New(cfg, b.Program, b.NewMem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stStraight := runToEnd(t, straight)
 	stOrig := runToEnd(t, orig)
 	stRest := runToEnd(t, restored)
+	if *stOrig != *stStraight {
+		t.Fatalf("split at %d committed: checkpointing perturbed the run:\nstraight: %+v\norig:     %+v",
+			splitAt, *stStraight, *stOrig)
+	}
 	if *stOrig != *stRest {
 		t.Fatalf("split at %d committed: restored run diverges:\norig:     %+v\nrestored: %+v",
 			splitAt, *stOrig, *stRest)
 	}
-	if orig.arf != restored.arf {
+	if orig.arf != restored.arf || orig.arf != straight.arf {
 		t.Fatalf("split at %d committed: final architectural registers differ", splitAt)
 	}
 	if oc, rc := orig.mem.Checksum(), restored.mem.Checksum(); oc != rc {
@@ -94,8 +105,11 @@ func checkpointAndResume(t *testing.T, b *workload.Benchmark, cfg Config, splitA
 
 // TestCheckpointRestoreBitIdentical is the core differential matrix:
 // all three engines, the machine modes, configuration corners (spec
-// memory, unbounded registers, 8-replica batches) and both workload
-// tiers, each split at several points including mid-warmup.
+// memory, unbounded registers, 8- and 64-replica batches) and both
+// workload tiers, each split at several points including mid-warmup.
+// The -long cases are the restore checks the sampling CI job once ran
+// as `cickpt verify` on every engine: gcc split at 15k of 40k and
+// mcf.big split at 40k of 120k committed instructions.
 func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -122,6 +136,13 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 			func(c *Config) { c.SpecMemSize = 768 }},
 		{"gcc-ci-8rep", "gcc", ModeCI, "event", 12_000, []uint64{3_000},
 			func(c *Config) { c.Replicas = 8 }},
+		// 128-slot rings: wider than the 64-bit slot masks.
+		{"gcc-ci-64rep-ff", "gcc", ModeCI, "fastforward", 12_000, []uint64{3_000},
+			func(c *Config) { c.Replicas = 64 }},
+		{"gcc-ci-64rep-event", "gcc", ModeCI, "event", 12_000, []uint64{3_000},
+			func(c *Config) { c.Replicas = 64 }},
+		{"gcc-ci-64rep-naive", "gcc", ModeCI, "naive", 12_000, []uint64{3_000},
+			func(c *Config) { c.Replicas = 64 }},
 		{"vpr-ci-inf-nodaec", "vpr", ModeCI, "fastforward", 12_000, []uint64{3_000},
 			func(c *Config) {
 				c.PhysRegs = 0
@@ -131,6 +152,12 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 		{"gcc.big-ci-ff", "gcc.big", ModeCI, "fastforward", 12_000, []uint64{5_000}, nil},
 		{"mcf.big-ci-event", "mcf.big", ModeCI, "event", 12_000, []uint64{5_000}, nil},
 		{"mcf.big-wb-naive", "mcf.big", ModeWideBus, "naive", 10_000, []uint64{5_000}, nil},
+		{"gcc-ci-ff-long", "gcc", ModeCI, "fastforward", 40_000, []uint64{15_000}, nil},
+		{"gcc-ci-event-long", "gcc", ModeCI, "event", 40_000, []uint64{15_000}, nil},
+		{"gcc-ci-naive-long", "gcc", ModeCI, "naive", 40_000, []uint64{15_000}, nil},
+		{"mcf.big-ci-ff-long", "mcf.big", ModeCI, "fastforward", 120_000, []uint64{40_000}, nil},
+		{"mcf.big-ci-event-long", "mcf.big", ModeCI, "event", 120_000, []uint64{40_000}, nil},
+		{"mcf.big-ci-naive-long", "mcf.big", ModeCI, "naive", 120_000, []uint64{40_000}, nil},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -141,7 +168,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 			}
 			cfg := DefaultConfig(tc.mode)
 			cfg.MaxInstr = tc.instr
-			engineConfigs[tc.engine](&cfg)
+			useEngine(t, &cfg, tc.engine)
 			if tc.mutate != nil {
 				tc.mutate(&cfg)
 			}
@@ -203,6 +230,58 @@ func TestCheckpointDeterministicEncoding(t *testing.T) {
 	c := r.SaveCheckpoint(base)
 	if !bytes.Equal(a, c) {
 		t.Fatal("restored machine re-serializes to different bytes")
+	}
+}
+
+// TestConfigEngineSlots pins how the engine travels in CIVK: as the
+// two scheduler bools it replaced (naive, then no-fast-forward; naive
+// is written 1, 0), followed by the commit-path flag and the retired
+// alias-bug slot, which is always written 0. The old naive-plus-no-
+// fast-forward combination still decodes as naive, and a config that
+// sets the alias slot is refused. The slots sit 20 bytes before the
+// end of the config, ahead of MaxInstr and MaxCycles.
+func TestConfigEngineSlots(t *testing.T) {
+	encode := func(cfg Config) []byte {
+		var c ckpt.Codec
+		WalkConfig(&c, &cfg)
+		return c.Payload()
+	}
+	decode := func(b []byte) (Config, error) {
+		var cfg Config
+		c := ckpt.Decode(b)
+		WalkConfig(c, &cfg)
+		return cfg, c.Err()
+	}
+	slots := func(b []byte) []byte { return b[len(b)-20 : len(b)-16] }
+	for _, tc := range []struct {
+		engine    Engine
+		recompute bool
+		want      []byte
+	}{
+		{EngineFastForward, false, []byte{0, 0, 0, 0}},
+		{EngineEvent, false, []byte{0, 1, 0, 0}},
+		{EngineNaive, false, []byte{1, 0, 0, 0}},
+		{EngineFastForward, true, []byte{0, 0, 1, 0}},
+	} {
+		cfg := DefaultConfig(ModeCI)
+		cfg.SetEngineForTest(tc.engine)
+		cfg.commitRecomputeAll = tc.recompute
+		b := encode(cfg)
+		if got := slots(b); !bytes.Equal(got, tc.want) {
+			t.Errorf("engine %d, recompute %v: slots %v, want %v", tc.engine, tc.recompute, got, tc.want)
+		}
+		if back, err := decode(b); err != nil || back != cfg {
+			t.Errorf("engine %d, recompute %v: decoded %+v, %v", tc.engine, tc.recompute, back, err)
+		}
+	}
+	b := encode(DefaultConfig(ModeCI))
+	copy(slots(b), []byte{1, 1, 0, 0})
+	if back, err := decode(b); err != nil || back.engine != EngineNaive {
+		t.Errorf("naive plus no-fast-forward decoded as engine %d, %v; want naive", back.engine, err)
+	}
+	copy(slots(b), []byte{0, 0, 0, 1})
+	if _, err := decode(b); err == nil {
+		t.Error("a config setting the retired alias-bug slot decoded without an error")
 	}
 }
 

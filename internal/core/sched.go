@@ -2,8 +2,8 @@ package core
 
 // Event-driven issue scheduler.
 //
-// The naive scheduler (PR 1, retained behind Config.NaiveScheduler as
-// the differential-test reference) walks the entire waiting list every
+// The naive scheduler (the original one, retained as EngineNaive, the
+// differential-test reference) walks the entire waiting list every
 // cycle and re-tests every instruction's operands even though most of
 // them cannot possibly have become ready — profiling showed that scan
 // at ~12% of ci-mode CPU. The event-driven scheduler replaces the scan

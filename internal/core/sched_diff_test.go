@@ -8,17 +8,18 @@ import (
 
 // The event-driven wakeup engine (sched.go, replica_sched.go) is
 // required to be observation-equivalent to the retained naive-scan
-// reference scheduler (Config.NaiveScheduler): identical statistics,
+// reference scheduler (EngineNaive): identical statistics,
 // bit for bit, on every workload. These differential tests are the
 // scan-equivalence proof the golden digests alone cannot give — they
 // compare the two engines directly, so a compensating double bug
 // cannot slip through a digest update.
 
-// diffConfig builds one scheduler-differential test configuration.
-func diffConfig(mode Mode, naive bool, mutate func(*Config)) Config {
+// diffConfig builds one scheduler-differential test configuration on
+// the named engine.
+func diffConfig(t *testing.T, mode Mode, engine string, mutate func(*Config)) Config {
 	cfg := DefaultConfig(mode)
 	cfg.MaxInstr = 15_000
-	cfg.NaiveScheduler = naive
+	useEngine(t, &cfg, engine)
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -63,6 +64,9 @@ func TestSchedulerDifferentialSpecint(t *testing.T) {
 		{"mcf-ciiw", "mcf", ModeCIIW, nil},
 		{"parser-vect", "parser", ModeVect, nil},
 		{"gcc-ci-8rep", "gcc", ModeCI, func(c *Config) { c.Replicas = 8 }},
+		// 64 replicas give 128-slot rings, past the 64-bit slot masks:
+		// the unmasked scan paths of both replica ticks.
+		{"gcc-ci-64rep", "gcc", ModeCI, func(c *Config) { c.Replicas = 64 }},
 		{"gcc-ci-specmem", "gcc", ModeCI, func(c *Config) { c.SpecMemSize = 768 }},
 		{"vpr-ci-inf-nodaec", "vpr", ModeCI, func(c *Config) {
 			c.PhysRegs = 0
@@ -78,8 +82,8 @@ func TestSchedulerDifferentialSpecint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			naive := runStats(t, wl, diffConfig(tc.mode, true, tc.mutate))
-			event := runStats(t, wl, diffConfig(tc.mode, false, tc.mutate))
+			naive := runStats(t, wl, diffConfig(t, tc.mode, "naive", tc.mutate))
+			event := runStats(t, wl, diffConfig(t, tc.mode, "fastforward", tc.mutate))
 			if *naive != *event {
 				t.Errorf("schedulers diverge:\nnaive: %+v\nevent: %+v", *naive, *event)
 			}
@@ -95,9 +99,9 @@ func TestSchedulerDifferentialRandom(t *testing.T) {
 		wl := workload.Random(seed)
 		for _, mode := range []Mode{ModeCI, ModeVect} {
 			cfg := DefaultConfig(mode)
-			cfg.NaiveScheduler = true
+			useEngine(t, &cfg, "naive")
 			naive := runStats(t, wl, cfg)
-			cfg.NaiveScheduler = false
+			useEngine(t, &cfg, "fastforward")
 			event := runStats(t, wl, cfg)
 			if *naive != *event {
 				t.Fatalf("seed %d mode %v: schedulers diverge:\nnaive: %+v\nevent: %+v",
@@ -120,17 +124,16 @@ func TestSchedulerLockstep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(naive bool) *Proc {
-		cfg := diffConfig(ModeCI, naive, func(c *Config) {
+	// Per-cycle comparison needs the stepped reference: the
+	// fast-forward engine jumps stall cycles, so a fast-forwarded run
+	// is only comparable at matching cycle counts (that alignment is
+	// TestFastForwardCycleAlignment's job).
+	mk := func(engine string) *Proc {
+		cfg := diffConfig(t, ModeCI, engine, func(c *Config) {
 			c.PhysRegs = 0
 			c.WindowSize = WindowFor(0)
 			c.DisableDAEC = true
 			c.MaxInstr = 40_000
-			// Per-cycle comparison needs the stepped reference: the
-			// fast-forward engine jumps stall cycles, so a fast-forwarded
-			// run is only comparable at matching cycle counts (that
-			// alignment is TestFastForwardCycleAlignment's job).
-			c.NoFastForward = true
 		})
 		p, err := New(cfg, wl.Program, wl.NewMem())
 		if err != nil {
@@ -138,7 +141,7 @@ func TestSchedulerLockstep(t *testing.T) {
 		}
 		return p
 	}
-	a, b := mk(true), mk(false)
+	a, b := mk("naive"), mk("event")
 	for cyc := 0; cyc < 2_000_000 && !a.halted && !b.halted &&
 		a.Stats.Committed < 40_000 && b.Stats.Committed < 40_000; cyc++ {
 		a.step()

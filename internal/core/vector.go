@@ -575,12 +575,7 @@ func (p *Proc) replicaTick() {
 	for _, ref := range p.activeEntries {
 		h := ref.hdr
 		if !ref.live() {
-			// Config.EmulateAliasedWorklist: the PR 1 bug kept stale
-			// listings alive as long as the way held any valid
-			// incarnation, granting it double arbitration turns.
-			if !p.aliasEmu || !h.Valid {
-				continue // the incarnation died; drop the listing
-			}
+			continue // the incarnation died; drop the listing
 		}
 		ent := ref.ent
 		// Steady-state fast paths. An entry with no issued replica to

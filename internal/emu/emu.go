@@ -224,19 +224,3 @@ func (c *CPU) StepOne(p *isa.Program) Step {
 	s.Dest, s.HasDest = s.Instr.WritesReg()
 	return s
 }
-
-// RegChecksum digests the architectural register file; combined with
-// Memory.Checksum it identifies the full architectural state.
-func (c *CPU) RegChecksum() uint64 {
-	var sum uint64
-	for i, v := range c.Regs {
-		x := (uint64(i)+1)*0x9e3779b97f4a7c15 + v
-		x ^= x >> 30
-		x *= 0xbf58476d1ce4e5b9
-		x ^= x >> 27
-		x *= 0x94d049bb133111eb
-		x ^= x >> 31
-		sum += x
-	}
-	return sum
-}

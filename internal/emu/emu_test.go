@@ -234,18 +234,3 @@ func TestStepMetadata(t *testing.T) {
 		t.Errorf("beqz step = %+v (r2 is 0, should be taken)", s)
 	}
 }
-
-func TestRegChecksumSensitivity(t *testing.T) {
-	a, b := New(nil), New(nil)
-	if a.RegChecksum() != b.RegChecksum() {
-		t.Error("equal states must have equal checksums")
-	}
-	a.Regs[5] = 1
-	if a.RegChecksum() == b.RegChecksum() {
-		t.Error("checksum must depend on register values")
-	}
-	b.Regs[6] = 1
-	if a.RegChecksum() == b.RegChecksum() {
-		t.Error("checksum must depend on register position")
-	}
-}

@@ -27,7 +27,6 @@ import (
 	"go/ast"
 	"go/token"
 	"reflect"
-	"sort"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -103,16 +102,6 @@ func (ix *Index) Hot(fn *ast.FuncDecl) bool { return ix.hot[fn] }
 
 // Cold reports whether fn carries a //civet:coldpath doc directive.
 func (ix *Index) Cold(fn *ast.FuncDecl) bool { return ix.cold[fn] }
-
-// HotFuncs returns the hotpath-marked declarations in source order.
-func (ix *Index) HotFuncs() []*ast.FuncDecl {
-	fns := make([]*ast.FuncDecl, 0, len(ix.hot))
-	for fn := range ix.hot {
-		fns = append(fns, fn)
-	}
-	sort.Slice(fns, func(i, j int) bool { return fns[i].Pos() < fns[j].Pos() })
-	return fns
-}
 
 // Allowed reports whether a diagnostic from the named analyzer at pos
 // is suppressed by an in-scope //civet:allow directive.

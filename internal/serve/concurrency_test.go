@@ -20,14 +20,14 @@ import (
 )
 
 // concurrentSpecs are the simulation shapes the concurrency test cycles
-// through: different workloads, machine modes and engines, all short
+// through: different workloads and machine modes, all short
 // enough to run hundreds of times under -race.
 var concurrentSpecs = []serve.JobSpec{
 	{Workload: "gcc", MaxInstr: 4000},
 	{Workload: "mcf", Mode: "ci", MaxInstr: 5000},
 	{Workload: "gzip", Mode: "vect", MaxInstr: 4000},
 	{Workload: "parser", Mode: "wb", MaxInstr: 4000},
-	{Workload: "twolf", Mode: "ci", Engine: "event", MaxInstr: 4000},
+	{Workload: "twolf", Mode: "ci", MaxInstr: 4000},
 }
 
 // serialReference runs one spec serially — no server, no concurrency —
@@ -42,16 +42,8 @@ func serialReference(t *testing.T, sp serve.JobSpec) []byte {
 		}
 		mode = m
 	}
-	engine := sim.EngineFastForward
-	if sp.Engine != "" {
-		e, err := sim.ParseEngine(sp.Engine)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engine = e
-	}
 	st := serialStats(t, sp.Workload,
-		sim.WithMode(mode), sim.WithEngine(engine),
+		sim.WithMode(mode),
 		sim.WithPorts(1), sim.WithRegs(256), sim.WithSpecMem(0),
 		sim.WithInstrBudget(sp.MaxInstr))
 	return statsJSON(t, st)

@@ -10,15 +10,13 @@ import (
 
 // JobSpec is the JSON body of POST /v1/jobs: one simulation request,
 // mirroring the axes cisim exposes as flags. Zero values take the same
-// defaults cisim uses (mode ci, engine fast-forward, 1 port, 256 regs,
-// the server's default instruction budget).
+// defaults cisim uses (mode ci, 1 port, 256 regs, the server's default
+// instruction budget). Unknown fields are refused with a 400.
 type JobSpec struct {
 	// Workload is the registry benchmark name (either tier). Required.
 	Workload string `json:"workload"`
 	// Mode is the machine mode: scal, wb, ci, ci-iw, vect.
 	Mode string `json:"mode,omitempty"`
-	// Engine is the simulation engine: fast-forward, event, naive.
-	Engine string `json:"engine,omitempty"`
 	// Ports is the L1D port count (at most MaxPorts).
 	Ports int `json:"ports,omitempty"`
 	// Regs is the physical register file size, at most MaxRegs (-1
@@ -74,12 +72,6 @@ func (sp *JobSpec) resolve(cfg *Config) (*sim.Workload, []sim.Option, error) {
 			return nil, nil, markBadRequest(err)
 		}
 	}
-	engine := sim.EngineFastForward
-	if sp.Engine != "" {
-		if engine, err = sim.ParseEngine(sp.Engine); err != nil {
-			return nil, nil, markBadRequest(err)
-		}
-	}
 	if sp.MaxInstr == 0 {
 		sp.MaxInstr = cfg.DefaultInstr
 	}
@@ -113,7 +105,6 @@ func (sp *JobSpec) resolve(cfg *Config) (*sim.Workload, []sim.Option, error) {
 	}
 	opts := []sim.Option{
 		sim.WithMode(mode),
-		sim.WithEngine(engine),
 		sim.WithPorts(ports),
 		sim.WithRegs(regs),
 		sim.WithSpecMem(sp.SpecMem),

@@ -92,6 +92,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"workload":"doom"}`,
 		`{"workload":"gcc","mode":"warp"}`,
 		`{"workload":"gcc","engine":"imaginary"}`,
+		`{"workload":"gcc","engine":"event"}`,
 		`{"workload":"gcc","regs":-7}`,
 		`{"workload":"gcc","max_instr":100000}`,
 		`{"workload":"gcc","trace":true}`,
@@ -106,7 +107,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"workload":"gcc","max_instr":5000} {"workload":"mcf","regs":99999999}`,
 		// Valid specs.
 		`{"workload":"gcc","max_instr":5000}`,
-		`{"workload":"mcf","mode":"vect","engine":"event","ports":2,"regs":768,"replicas":4,` +
+		`{"workload":"mcf","mode":"vect","ports":2,"regs":768,"replicas":4,` +
 			`"strided_pcs":2,"spec_mem":768,"spec_mem_lat":3,"no_daec":true,"max_instr":9000,` +
 			`"checkpoint_key":"k-1","trace":true,"trace_level":"commits","trace_first":10,"trace_last":90}`,
 	} {

@@ -158,7 +158,7 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	// The daemon must not perturb the simulation: its stats are
 	// byte-identical to a serial run of the same configuration.
 	ref := serialStats(t, "gcc",
-		sim.WithMode(sim.CI), sim.WithEngine(sim.EngineFastForward),
+		sim.WithMode(sim.CI),
 		sim.WithPorts(1), sim.WithRegs(256), sim.WithSpecMem(0),
 		sim.WithInstrBudget(5000))
 	if got, want := statsJSON(t, v.Result.Stats), statsJSON(t, ref); !bytes.Equal(got, want) {
@@ -187,6 +187,9 @@ func TestSubmitBadRequests(t *testing.T) {
 		{"unknown-workload", `{"workload":"doom"}`},
 		{"bad-mode", `{"workload":"gcc","mode":"warp"}`},
 		{"bad-engine", `{"workload":"gcc","engine":"imaginary"}`},
+		// The engine is not a job parameter: even a real engine's name
+		// is an unknown field.
+		{"engine-field", `{"workload":"gcc","engine":"fast-forward"}`},
 		{"bad-regs", `{"workload":"gcc","regs":-7}`},
 		{"budget-over-limit", `{"workload":"gcc","max_instr":100000}`},
 		{"trace-without-dir", `{"workload":"gcc","trace":true}`},

@@ -45,22 +45,6 @@ type replaySlot struct {
 	issued bool
 }
 
-// InFlight returns the number of in-flight instructions (the modeled
-// instruction-window occupancy among journaled instructions).
-func (m *Machine) InFlight() int { return len(m.inflight) }
-
-// IssuedInFlight returns how many in-flight instructions have issued
-// but not yet retired.
-func (m *Machine) IssuedInFlight() int {
-	n := 0
-	for _, s := range m.inflight {
-		if s.issued {
-			n++
-		}
-	}
-	return n
-}
-
 // Apply advances the machine by one event. Errors wrap ErrMalformed
 // and carry the offending event.
 func (m *Machine) Apply(e Event) error {

@@ -11,14 +11,33 @@ import (
 	"civect/internal/workload"
 )
 
-// engines enumerates the three engine configurations by name.
+// engines names the three timing engines.
 var engines = []struct {
-	name string
-	set  func(*core.Config)
+	name   string
+	engine core.Engine
 }{
-	{"fast-forward", func(c *core.Config) {}},
-	{"event", func(c *core.Config) { c.NoFastForward = true }},
-	{"naive", func(c *core.Config) { c.NaiveScheduler = true }},
+	{"fast-forward", core.EngineFastForward},
+	{"event", core.EngineEvent},
+	{"naive", core.EngineNaive},
+}
+
+// engineConfigs returns base on each engine, in engines order. It fails
+// if two come out equal: the test-only setter did not take, and a
+// cross-engine test would compare one engine with itself.
+func engineConfigs(t testing.TB, base core.Config) []core.Config {
+	t.Helper()
+	cfgs := make([]core.Config, len(engines))
+	for i, e := range engines {
+		cfgs[i] = base
+		cfgs[i].SetEngineForTest(e.engine)
+		for j := range i {
+			if cfgs[j] == cfgs[i] {
+				t.Fatalf("engines %s and %s give the same Config: the test would compare one engine with itself",
+					engines[j].name, e.name)
+			}
+		}
+	}
+	return cfgs
 }
 
 // record runs b under cfg with a journal recorder attached and returns
@@ -67,9 +86,8 @@ func TestRoundTripRandomPrograms(t *testing.T) {
 		for _, mode := range []core.Mode{core.ModeCI, core.ModeVect} {
 			var ref []byte
 			var refStats *core.Stats
-			for _, eng := range engines {
-				cfg := core.DefaultConfig(mode)
-				eng.set(&cfg)
+			for i, cfg := range engineConfigs(t, core.DefaultConfig(mode)) {
+				eng := engines[i]
 				journal, st := record(t, wl, cfg, trace.LevelPipeline)
 				if ref == nil {
 					ref, refStats = journal, st
@@ -99,6 +117,35 @@ func TestRoundTripRandomPrograms(t *testing.T) {
 			if s.LastCycle > refStats.Cycles {
 				t.Fatalf("seed %d %v: replay last cycle %d beyond run's %d", seed, mode, s.LastCycle, refStats.Cycles)
 			}
+		}
+	}
+}
+
+// TestCrossEngineJournalVPR records vpr in ci mode for 15k committed
+// instructions at the pipeline level on all three engines: the
+// journals must be byte-identical and Diff must find no divergence.
+// It is the check CI's engine-matrix job once made with `citrace
+// record -engine` and `cmp`.
+func TestCrossEngineJournalVPR(t *testing.T) {
+	wl, err := workload.Spec("vpr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := core.DefaultConfig(core.ModeCI)
+	base.MaxInstr = 15_000
+	var ref []byte
+	for i, cfg := range engineConfigs(t, base) {
+		journal, _ := record(t, wl, cfg, trace.LevelPipeline)
+		if ref == nil {
+			ref = journal
+			continue
+		}
+		if !bytes.Equal(journal, ref) {
+			t.Errorf("%s journal differs from %s (%d vs %d bytes)",
+				engines[i].name, engines[0].name, len(journal), len(ref))
+		}
+		if res := diffJournals(t, ref, journal); !res.Identical() {
+			t.Errorf("%s vs %s: %s", engines[0].name, engines[i].name, res.Divergence.Reason)
 		}
 	}
 }
@@ -194,9 +241,9 @@ func TestDiffEngineEvents(t *testing.T) {
 	}
 	cfg := core.DefaultConfig(core.ModeCI)
 	cfg.MaxInstr = 10_000
-	ff, _ := record(t, wl, cfg, trace.LevelFull)
-	cfg.NoFastForward = true
-	ev, _ := record(t, wl, cfg, trace.LevelFull)
+	cfgs := engineConfigs(t, cfg)
+	ff, _ := record(t, wl, cfgs[0], trace.LevelFull)
+	ev, _ := record(t, wl, cfgs[1], trace.LevelFull)
 
 	open := func(j []byte) *trace.Reader {
 		r, err := trace.NewReader(bytes.NewReader(j))

@@ -49,15 +49,15 @@ func TestCancelMidRun(t *testing.T) {
 	}
 	before := goroutines()
 	for _, tc := range cases {
-		for _, engine := range sim.Engines() {
-			t.Run(tc.bench+"/"+engine.String(), func(t *testing.T) {
+		for _, e := range engines {
+			t.Run(tc.bench+"/"+e.name, func(t *testing.T) {
 				w := mustLoad(t, tc.bench)
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				obs := &cancelObserver{cancel: cancel, after: tc.cancelAt}
 				s, err := sim.New(w,
 					sim.WithMode(sim.CI),
-					sim.WithEngine(engine),
+					withEngine(e.engine),
 					sim.WithInstrBudget(50_000_000),
 					sim.WithObserver(obs, 1_000),
 				)

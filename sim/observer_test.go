@@ -109,11 +109,11 @@ func TestObserverDeterminism(t *testing.T) {
 // fast-forward, so OnCycleJump must stay silent there.
 func TestObserverJumpsDisabledOnSteppedEngines(t *testing.T) {
 	w := mustLoad(t, "mcf.big")
-	for _, e := range []sim.Engine{sim.EngineEvent, sim.EngineNaive} {
+	for _, e := range engines[1:] {
 		obs := newCountingObserver()
 		s, err := sim.New(w,
 			sim.WithMode(sim.CI),
-			sim.WithEngine(e),
+			withEngine(e.engine),
 			sim.WithInstrBudget(4_000),
 			sim.WithObserver(obs, 0),
 		)
@@ -124,7 +124,7 @@ func TestObserverJumpsDisabledOnSteppedEngines(t *testing.T) {
 			t.Fatal(err)
 		}
 		if obs.jumps != 0 {
-			t.Errorf("engine %v reported %d cycle jumps; stepped engines never jump", e, obs.jumps)
+			t.Errorf("engine %s reported %d cycle jumps; stepped engines never jump", e.name, obs.jumps)
 		}
 		if obs.progress != 0 {
 			t.Errorf("progressEvery=0 still produced %d progress reports", obs.progress)

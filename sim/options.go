@@ -115,27 +115,6 @@ func WithDAEC(enabled bool) Option {
 	return func(s *settings) { s.cfg.DisableDAEC = !enabled }
 }
 
-// WithEngine selects the simulation engine (default EngineFastForward;
-// all engines produce bit-identical statistics).
-func WithEngine(e Engine) Option {
-	return func(s *settings) {
-		switch e {
-		case EngineFastForward:
-			s.cfg.NaiveScheduler = false
-			s.cfg.NoFastForward = false
-		case EngineEvent:
-			s.cfg.NaiveScheduler = false
-			s.cfg.NoFastForward = true
-		case EngineNaive:
-			s.cfg.NaiveScheduler = true
-		default:
-			if s.err == nil {
-				s.err = fmt.Errorf("sim: invalid engine %d", int(e))
-			}
-		}
-	}
-}
-
 // WithInstrBudget bounds the run to n committed instructions (0, the
 // default, runs to the program's halt).
 func WithInstrBudget(n uint64) Option {

@@ -80,53 +80,6 @@ func ParseMode(s string) (Mode, error) {
 	return Mode(m), err
 }
 
-// Engine selects the simulation engine. All three are
-// observation-equivalent — they produce bit-identical statistics — and
-// differ only in wall-clock speed; the slower ones are retained as
-// differential-test references.
-type Engine int
-
-// The three engines, fastest first.
-const (
-	// EngineFastForward is the default: the event-driven scheduler plus
-	// the stall-cycle fast-forward engine that jumps provably inert
-	// cycle ranges.
-	EngineFastForward Engine = iota
-	// EngineEvent is the event-driven scheduler stepping every cycle.
-	EngineEvent
-	// EngineNaive is the polled reference scheduler (full waiting-list
-	// scans every cycle).
-	EngineNaive
-)
-
-// String names the engine (fast-forward, event, naive).
-func (e Engine) String() string {
-	switch e {
-	case EngineFastForward:
-		return "fast-forward"
-	case EngineEvent:
-		return "event"
-	case EngineNaive:
-		return "naive"
-	}
-	return fmt.Sprintf("engine(%d)", int(e))
-}
-
-// Engines lists the three engines, fastest first.
-func Engines() []Engine {
-	return []Engine{EngineFastForward, EngineEvent, EngineNaive}
-}
-
-// ParseEngine inverts Engine.String.
-func ParseEngine(s string) (Engine, error) {
-	for _, e := range Engines() {
-		if e.String() == s {
-			return e, nil
-		}
-	}
-	return 0, fmt.Errorf("sim: unknown engine %q (want fast-forward, event or naive)", s)
-}
-
 // Config is the full simulator configuration (the paper's Table 1 plus
 // the mechanism's knobs). Most callers never touch it — the functional
 // options cover the parameters the paper sweeps — but WithConfigPatch

@@ -33,7 +33,7 @@ func TestNewValidatesEagerly(t *testing.T) {
 		{"zero ports", w, []sim.Option{sim.WithPorts(0)}},
 		{"tiny register file", w, []sim.Option{sim.WithConfigPatch(func(c *sim.Config) { c.PhysRegs = 8 })}},
 		{"invalid mode", w, []sim.Option{sim.WithMode(sim.Mode(99))}},
-		{"invalid engine", w, []sim.Option{sim.WithEngine(sim.Engine(99))}},
+		{"invalid engine", w, []sim.Option{withEngine(99)}},
 		{"too many strided PCs", w, []sim.Option{sim.WithStridedPCs(64)}},
 	}
 	for _, tc := range cases {
@@ -270,29 +270,38 @@ func TestWithRegsWindowRule(t *testing.T) {
 	}
 }
 
-// TestEngineRoundTrip mirrors the mode round-trip for the engine enum.
-func TestEngineRoundTrip(t *testing.T) {
-	for _, e := range sim.Engines() {
-		got, err := sim.ParseEngine(e.String())
-		if err != nil || got != e {
-			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, err)
-		}
-	}
-	if _, err := sim.ParseEngine("warp"); err == nil {
-		t.Error("unknown engine must not parse")
-	}
+// engines names the three timing engines. The façade selects none of
+// them; tests reach the references through WithConfigPatch.
+var engines = []struct {
+	name   string
+	engine core.Engine
+}{
+	{"fast-forward", core.EngineFastForward},
+	{"event", core.EngineEvent},
+	{"naive", core.EngineNaive},
 }
 
-// TestEnginesBitIdentical: the engine option only changes wall speed,
-// never statistics.
+// withEngine selects a timing engine through the test-only setter.
+func withEngine(e core.Engine) sim.Option {
+	return sim.WithConfigPatch(func(c *sim.Config) { c.SetEngineForTest(e) })
+}
+
+// TestEnginesBitIdentical: the engine only changes wall speed, never
+// statistics. Each engine must also give its session a configuration
+// of its own, or the test would compare one engine with itself.
 func TestEnginesBitIdentical(t *testing.T) {
 	w := mustLoad(t, "gcc")
 	var ref *sim.Result
-	for _, e := range sim.Engines() {
-		s, err := sim.New(w, sim.WithMode(sim.CI), sim.WithEngine(e), sim.WithInstrBudget(6_000))
+	seen := map[sim.Config]string{}
+	for _, e := range engines {
+		s, err := sim.New(w, sim.WithMode(sim.CI), withEngine(e.engine), sim.WithInstrBudget(6_000))
 		if err != nil {
 			t.Fatal(err)
 		}
+		if prev, ok := seen[s.Config()]; ok {
+			t.Fatalf("engines %s and %s built the same configuration", prev, e.name)
+		}
+		seen[s.Config()] = e.name
 		res, err := s.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -302,7 +311,7 @@ func TestEnginesBitIdentical(t *testing.T) {
 			continue
 		}
 		if res.Stats != ref.Stats {
-			t.Errorf("engine %v stats diverge from %v", e, sim.Engines()[0])
+			t.Errorf("engine %s stats diverge from %s", e.name, engines[0].name)
 		}
 	}
 }
