@@ -74,14 +74,25 @@ func formOf(op isa.Op) form {
 // the PC the next instruction gets.
 func (b *Builder) Len() int { return len(b.code) }
 
-// Grow reserves room for instrs more instructions and for labels more
-// labels and label references, so a build of known size does not grow
-// its buffers append by append. A build that encodes exactly the
-// instructions reserved hands its code to Program without a copy.
+// Grow reserves room for exactly instrs more instructions and for
+// labels more labels and label references, so a build of known size
+// does not grow its buffers append by append. A build that encodes
+// exactly the instructions reserved hands its code to Program without
+// a copy.
 func (b *Builder) Grow(instrs, labels int) {
-	b.code = slices.Grow(b.code, instrs)
-	b.labels = slices.Grow(b.labels, labels)
-	b.fixups = slices.Grow(b.fixups, labels)
+	b.code = growExact(b.code, instrs)
+	b.labels = growExact(b.labels, labels)
+	b.fixups = growExact(b.fixups, labels)
+}
+
+// growExact returns s with room for n more elements. Unlike
+// slices.Grow it does not round the capacity up to the allocation's
+// size class, so a buffer filled to its reservation has no slack.
+func growExact[E any](s []E, n int) []E {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]E, 0, len(s)+n), s...)
 }
 
 // NewLabel returns a fresh, unbound label.

@@ -62,37 +62,44 @@ join:   add  r4, r4, r0
 }
 
 // TestBuilderGrow: a build into exactly the reserved room hands its
-// buffer to the program uncopied; a build with slack left gets a copy
-// without it. Either way the program is the one an unreserved build
-// makes.
+// buffer to the program uncopied, also for a reservation the allocator
+// would round up to a larger size class; a build with slack left gets a
+// copy without it. Either way the program is the one an unreserved
+// build makes.
 func TestBuilderGrow(t *testing.T) {
-	build := func(b *Builder) {
+	build := func(b *Builder, n int) {
+		for range n - 3 {
+			b.Nop()
+		}
 		l := b.NewLabel()
 		b.Bind(l)
 		b.OpI(isa.OpSubI, 1, 1, 1)
 		b.Branch(isa.OpBNEZ, 1, l)
 		b.Halt()
 	}
-	var plain Builder
-	build(&plain)
-	want, err := plain.Program("loop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, reserve := range []int{3, 64} {
+	for _, c := range []struct{ reserve, n int }{{3, 3}, {64, 3}, {112_517, 112_517}} {
+		var plain Builder
+		build(&plain, c.n)
+		want, err := plain.Program("loop")
+		if err != nil {
+			t.Fatal(err)
+		}
 		var b Builder
-		b.Grow(reserve, 1)
-		buf := b.code[:reserve]
-		build(&b)
+		b.Grow(c.reserve, 1)
+		buf := b.code[:c.reserve]
+		build(&b, c.n)
 		got, err := b.Program("loop")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Hash() != want.Hash() {
-			t.Errorf("reserve %d: program differs from the unreserved build", reserve)
+			t.Errorf("reserve %d: program differs from the unreserved build", c.reserve)
 		}
-		if shared := &got.Code[0] == &buf[0]; shared != (reserve == want.Len()) {
-			t.Errorf("reserve %d: code shared with the build buffer = %v for %d instructions", reserve, shared, want.Len())
+		if shared := &got.Code[0] == &buf[0]; shared != (c.reserve == c.n) {
+			t.Errorf("reserve %d: code shared with the build buffer = %v for %d instructions", c.reserve, shared, c.n)
+		}
+		if cap(got.Code) != got.Len() {
+			t.Errorf("reserve %d: program code has capacity %d for %d instructions", c.reserve, cap(got.Code), got.Len())
 		}
 	}
 }

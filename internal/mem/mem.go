@@ -11,11 +11,13 @@
 // Pages are copy-on-write. Clone copies only the page table, so the two
 // memories share every page until one of them writes it; the writer then
 // copies that page first. A page reachable from two memories is never
-// written in place. Ownership is a generation stamp kept beside each page
-// pointer in the page table (not inside the 4 KiB array, which would push
-// every page into a larger allocation size class): a memory owns a page
-// iff the page's stamp equals the memory's generation, and Clone hands
-// both sides fresh generations, so neither owns anything it shares.
+// written in place, by Write64 or by WriteWords, the bulk writer images
+// are filled with. Ownership is a generation stamp kept beside each
+// page pointer in the page table (not inside the 4 KiB array, which
+// would push every page into a larger allocation size class): a memory
+// owns a page iff the page's stamp equals the memory's generation, and
+// Clone hands both sides fresh generations, so neither owns anything it
+// shares.
 //
 // The page table is a map, but the hot path does not hash: each memory
 // keeps a small direct-mapped software TLB of (key, page, stamp) entries
@@ -99,7 +101,7 @@ type Memory struct {
 // New returns an empty memory.
 func New() *Memory { return &Memory{pages: make(map[uint64]pageRef)} }
 
-// Freeze makes m a read-only image: any later Write64 panics, and
+// Freeze makes m a read-only image: any later write panics, and
 // Clone no longer touches m at all, so any number of goroutines may
 // Clone (and read) a frozen memory concurrently. Workload images are
 // frozen once generated.
@@ -141,6 +143,22 @@ func (m *Memory) Write64(addr, val uint64) {
 		m.writeMiss(key)
 	}
 	e.p[wordIndex(addr)] = val
+}
+
+// WriteWords stores words at consecutive words, the first in the word
+// containing byte address addr. It is len(words) Write64 calls that
+// look each page up once: a page m does not own is copied first, and a
+// frozen memory panics.
+func (m *Memory) WriteWords(addr uint64, words []uint64) {
+	for len(words) > 0 {
+		key := addr >> pageShift
+		e := &m.tlb[tlbSlot(key)]
+		if e.key != key || e.p == nil || e.gen != m.gen.Load() {
+			m.writeMiss(key)
+		}
+		words = words[copy(e.p[wordIndex(addr):], words):]
+		addr = (key + 1) << pageShift
+	}
 }
 
 // writeMiss leaves the TLB entry for key holding a page m owns, taking

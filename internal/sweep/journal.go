@@ -33,6 +33,12 @@ func readJournal(path string, allowed map[string]bool) (map[string]*core.Stats, 
 	if err != nil {
 		return nil, err
 	}
+	return decodeJournal(path, blob, allowed)
+}
+
+// decodeJournal parses the bytes of the journal at path, as readJournal
+// describes.
+func decodeJournal(path string, blob []byte, allowed map[string]bool) (map[string]*core.Stats, error) {
 	done := make(map[string]*core.Stats)
 	lines := bytes.Split(blob, []byte("\n"))
 	for i, line := range lines {

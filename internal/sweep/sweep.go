@@ -292,12 +292,21 @@ func Load(path string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	var f File
-	if err := json.Unmarshal(blob, &f); err != nil {
+	f, err := decodeFile(blob)
+	if err != nil {
 		return nil, fmt.Errorf("sweep: %s: %w", path, err)
 	}
+	return f, nil
+}
+
+// decodeFile decodes the bytes of one shard file.
+func decodeFile(blob []byte) (*File, error) {
+	var f File
+	if err := json.Unmarshal(blob, &f); err != nil {
+		return nil, err
+	}
 	if f.Version != FormatVersion {
-		return nil, fmt.Errorf("sweep: %s: format version %d, want %d", path, f.Version, FormatVersion)
+		return nil, fmt.Errorf("format version %d, want %d", f.Version, FormatVersion)
 	}
 	return &f, nil
 }
@@ -305,7 +314,7 @@ func Load(path string) (*File, error) {
 // Merge joins shard files into one complete result set, validating
 // exact coverage: the headers must describe the same sweep, and the
 // union of cells must equal the recomputed plan — every cell present
-// exactly once, no overlap, nothing outside the plan.
+// exactly once, with its stats, no overlap, nothing outside the plan.
 func Merge(files []*File) (*File, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("sweep: no shard files to merge")
@@ -349,6 +358,9 @@ func Merge(files []*File) (*File, error) {
 			}
 			if prev, dup := seen[key]; dup {
 				return nil, fmt.Errorf("sweep: cell %s present in both shard %d and shard %d", key, prev, f.Shard)
+			}
+			if c.Stats == nil {
+				return nil, fmt.Errorf("sweep: shard %d/%d cell %s has no stats", f.Shard, f.NumShards, key)
 			}
 			seen[key] = f.Shard
 			merged.Cells = append(merged.Cells, c)

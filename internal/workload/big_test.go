@@ -98,6 +98,9 @@ func TestBigLenIsExact(t *testing.T) {
 		if got := p.bigLen(); got != prog.Len() {
 			t.Errorf("%s: bigLen %d, buildBig emitted %d", name, got, prog.Len())
 		}
+		if cap(prog.Code) != prog.Len() {
+			t.Errorf("%s: code capacity %d for %d instructions: not handed over as reserved", name, cap(prog.Code), prog.Len())
+		}
 	}
 }
 

@@ -44,8 +44,10 @@ func pinnedBenchmark(name string, seed int64, epochs map[string]int) (*Benchmark
 
 // TestGenerationPinned pins workload generation bit for bit: all 36
 // registry programs (base, .big and .ultra) at two data seeds, and a
-// few Random programs, must reproduce the recorded program digest and
-// image checksum.
+// few Random programs, must reproduce the recorded program digest,
+// image checksum and image page count. The checksum skips zero words,
+// so the page count is what pins a page mapped in excess or an
+// all-zero page left unmapped.
 func TestGenerationPinned(t *testing.T) {
 	var names []string
 	names = append(names, Names()...)
@@ -53,6 +55,7 @@ func TestGenerationPinned(t *testing.T) {
 	names = append(names, UltraNames()...)
 
 	got := map[string]generationPin{}
+	pages := map[string]int{}
 	epochs := map[string]int{}
 	for _, seed := range []int64{0, 1} {
 		for _, n := range names {
@@ -60,12 +63,18 @@ func TestGenerationPinned(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", n, seed, err)
 			}
-			got[fmt.Sprintf("%s/%d", n, seed)] = generationPin{n, seed, b.Program.Hash(), b.NewMem().Checksum()}
+			key := fmt.Sprintf("%s/%d", n, seed)
+			m := b.NewMem()
+			got[key] = generationPin{n, seed, b.Program.Hash(), m.Checksum()}
+			pages[key] = m.PagesAllocated()
 		}
 	}
 	for _, seed := range randomPinSeeds {
 		b := Random(seed)
-		got[fmt.Sprintf("random/%d", seed)] = generationPin{"random", seed, b.Program.Hash(), b.NewMem().Checksum()}
+		key := fmt.Sprintf("random/%d", seed)
+		m := b.NewMem()
+		got[key] = generationPin{"random", seed, b.Program.Hash(), m.Checksum()}
+		pages[key] = m.PagesAllocated()
 	}
 
 	if len(got) != len(generationPins) {
@@ -82,6 +91,9 @@ func TestGenerationPinned(t *testing.T) {
 			t.Errorf("%s: program %016x image %016x, pinned %016x %016x",
 				key, g.hash, g.image, want.hash, want.image)
 		}
+		if pages[key] != pagePins[key] {
+			t.Errorf("%s: image maps %d pages, pinned %d", key, pages[key], pagePins[key])
+		}
 	}
 	if t.Failed() {
 		// The generated table, for a deliberate re-pin.
@@ -92,7 +104,7 @@ func TestGenerationPinned(t *testing.T) {
 		sort.Strings(keys)
 		for _, k := range keys {
 			g := got[k]
-			t.Logf("{%q, %d, 0x%016x, 0x%016x},", g.name, g.seed, g.hash, g.image)
+			t.Logf("{%q, %d, 0x%016x, 0x%016x}, // %d pages", g.name, g.seed, g.hash, g.image, pages[k])
 		}
 	}
 }
@@ -180,4 +192,87 @@ var generationPins = []generationPin{
 	{"vpr.ultra", 1, 0x1e42968631b86e7d, 0x8fd73b37fbba5af2},
 	{"vpr", 0, 0x648bec50d8329b76, 0x2a53fa3312c7b113},
 	{"vpr", 1, 0x648bec50d8329b76, 0xb12a145b66fad7ce},
+}
+
+// pagePins holds each pinned image's page count (Memory.PagesAllocated),
+// keyed as generationPins is, with the same re-pin rule.
+var pagePins = map[string]int{
+	"bzip2.big/0":     1536,
+	"bzip2.big/1":     1536,
+	"bzip2.ultra/0":   1536,
+	"bzip2.ultra/1":   1536,
+	"bzip2/0":         4,
+	"bzip2/1":         4,
+	"crafty.big/0":    2304,
+	"crafty.big/1":    2304,
+	"crafty.ultra/0":  2304,
+	"crafty.ultra/1":  2304,
+	"crafty/0":        6,
+	"crafty/1":        6,
+	"eon.big/0":       2304,
+	"eon.big/1":       2304,
+	"eon.ultra/0":     2304,
+	"eon.ultra/1":     2304,
+	"eon/0":           6,
+	"eon/1":           6,
+	"gap.big/0":       2304,
+	"gap.big/1":       2304,
+	"gap.ultra/0":     2304,
+	"gap.ultra/1":     2304,
+	"gap/0":           24,
+	"gap/1":           24,
+	"gcc.big/0":       2304,
+	"gcc.big/1":       2304,
+	"gcc.ultra/0":     2304,
+	"gcc.ultra/1":     2304,
+	"gcc/0":           12,
+	"gcc/1":           12,
+	"gzip.big/0":      1536,
+	"gzip.big/1":      1536,
+	"gzip.ultra/0":    1536,
+	"gzip.ultra/1":    1536,
+	"gzip/0":          4,
+	"gzip/1":          4,
+	"mcf.big/0":       1552,
+	"mcf.big/1":       1552,
+	"mcf.ultra/0":     1552,
+	"mcf.ultra/1":     1552,
+	"mcf/0":           384,
+	"mcf/1":           384,
+	"parser.big/0":    2304,
+	"parser.big/1":    2304,
+	"parser.ultra/0":  2304,
+	"parser.ultra/1":  2304,
+	"parser/0":        6,
+	"parser/1":        6,
+	"perlbmk.big/0":   2304,
+	"perlbmk.big/1":   2304,
+	"perlbmk.ultra/0": 2304,
+	"perlbmk.ultra/1": 2304,
+	"perlbmk/0":       12,
+	"perlbmk/1":       12,
+	"random/0":        1,
+	"random/1":        1,
+	"random/1000":     1,
+	"random/17":       1,
+	"random/2":        1,
+	"random/3":        1,
+	"twolf.big/0":     2320,
+	"twolf.big/1":     2320,
+	"twolf.ultra/0":   2320,
+	"twolf.ultra/1":   2320,
+	"twolf/0":         64,
+	"twolf/1":         64,
+	"vortex.big/0":    2304,
+	"vortex.big/1":    2304,
+	"vortex.ultra/0":  2304,
+	"vortex.ultra/1":  2304,
+	"vortex/0":        24,
+	"vortex/1":        24,
+	"vpr.big/0":       1536,
+	"vpr.big/1":       1536,
+	"vpr.ultra/0":     1536,
+	"vpr.ultra/1":     1536,
+	"vpr/0":           8,
+	"vpr/1":           8,
 }

@@ -37,10 +37,12 @@ func Random(seed int64) *Benchmark {
 	iters := 8 + rng.Intn(48)
 	bodyOps := 4 + rng.Intn(24)
 
-	image := mem.New()
-	for i := 0; i < dataWords; i++ {
-		image.Write64(uint64(dataBase+i*8), uint64(rng.Int63n(1<<16)))
+	data := make([]uint64, dataWords)
+	for i := range data {
+		data[i] = uint64(rng.Int63n(1 << 16))
 	}
+	image := mem.New()
+	image.WriteWords(dataBase, data)
 
 	reg := func() isa.Reg { return isa.Reg(poolLo + rng.Intn(poolHi-poolLo+1)) }
 	alu := [...]isa.Op{isa.OpAdd, isa.OpSub, isa.OpXor, isa.OpOr, isa.OpAnd}

@@ -192,18 +192,31 @@ func Generate(p Params) (*Benchmark, error) {
 		}
 	}
 
-	prog, err := p.program()
+	// The program and the image share nothing: build the program on a
+	// second goroutine while this one fills the image.
+	var prog *isa.Program
+	var err error
+	built := make(chan struct{})
+	go func() {
+		defer close(built)
+		prog, err = p.program()
+	}()
+	image := p.image()
+	<-built
 	if err != nil {
 		return nil, err
 	}
-	return &Benchmark{Params: p, Program: prog, image: p.image()}, nil
+	return &Benchmark{Params: p, Program: prog, image: image}, nil
 }
 
 // image fills and freezes the benchmark's initial data image. It does
 // not depend on Epochs or Unroll, only on the data layout and Seed.
+// Each array is drawn into one reused buffer, in the order the words
+// lie in memory, and stored with one bulk write.
 func (p Params) image() *mem.Memory {
 	rng := rand.New(rand.NewSource(p.Seed))
 	image := mem.New()
+	buf := make([]uint64, p.ArrayWords)
 
 	// Stream 0 holds the branch-steering data (0/1 with TakenBias);
 	// remaining streams hold values to accumulate. The big tier
@@ -215,36 +228,32 @@ func (p Params) image() *mem.Memory {
 			streamAt, armAt = bigPhaseBase(ph), bigPhaseBase(ph)+bigArmSlot*bigStreamSpace
 			space = bigStreamSpace
 		}
-		for s := 0; s < p.Streams; s++ {
-			base := uint64(streamAt + s*space)
-			for i := 0; i < p.ArrayWords; i++ {
-				var v uint64
-				if s == 0 {
-					if rng.Float64() < p.TakenBias {
-						v = 1
-					}
-				} else {
-					v = uint64(rng.Int63n(1 << 20))
-				}
-				image.Write64(base+uint64(i*8), v)
+		for i := range buf {
+			buf[i] = b2u(rng.Float64() < p.TakenBias)
+		}
+		image.WriteWords(uint64(streamAt), buf)
+		for s := 1; s < p.Streams; s++ {
+			for i := range buf {
+				buf[i] = uint64(rng.Int63n(1 << 20))
 			}
+			image.WriteWords(uint64(streamAt+s*space), buf)
 		}
 		if p.ArmLoads > 0 {
-			for i := 0; i < p.ArrayWords; i++ {
-				image.Write64(uint64(armAt)+uint64(i*8), uint64(rng.Int63n(1<<16)))
+			for i := range buf {
+				buf[i] = uint64(rng.Int63n(1 << 16))
 			}
+			image.WriteWords(uint64(armAt), buf)
 		}
 	}
 	if p.PointerChase {
 		// A random permutation cycle over the chase array: each word
-		// holds the byte offset of the next element.
-		n := p.ArrayWords
-		perm := rng.Perm(n)
-		for i := 0; i < n; i++ {
-			from := perm[i]
-			to := perm[(i+1)%n]
-			image.Write64(uint64(chaseBase+from*8), uint64(chaseBase+to*8))
+		// holds the address of the next element, so the successor
+		// table is the array itself.
+		perm := rng.Perm(len(buf))
+		for i, from := range perm {
+			buf[from] = uint64(chaseBase + perm[(i+1)%len(perm)]*8)
 		}
+		image.WriteWords(chaseBase, buf)
 	}
 	image.Freeze()
 	return image
@@ -334,6 +343,9 @@ func (p Params) buildBase(b *asm.Builder) {
 // stands in for the call trees of real binaries — the ISA has direct
 // branches only, so "calls" are fully inlined phase bodies.
 func (p Params) buildBig(b *asm.Builder) {
+	// The labels: the epoch loop's, each phase loop's, and per body
+	// copy two a hammock (its else arm and its join).
+	b.Grow(p.bigLen(), 1+p.Phases*(1+p.Unroll*2*p.Hammocks))
 	b.MovI(rEpoch, int64(p.Epochs))
 	b.MovI(rMask, int64(p.ArrayWords*8-1))
 	if p.PointerChase {
@@ -345,9 +357,6 @@ func (p Params) buildBig(b *asm.Builder) {
 	// counts would alias the same few sets, starving the predictors in a
 	// way no real instruction mix does.
 	pad := p.bodyLen()%2 == 0
-	// The labels: the epoch loop's, each phase loop's, and per body
-	// copy two a hammock (its else arm and its join).
-	b.Grow(p.bigLen(), 1+p.Phases*(1+p.Unroll*2*p.Hammocks))
 	epoch := b.NewLabel()
 	b.Bind(epoch)
 	for ph := 0; ph < p.Phases; ph++ {
@@ -559,4 +568,12 @@ func max(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// b2u returns 1 for true and 0 for false.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
